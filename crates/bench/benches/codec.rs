@@ -10,8 +10,11 @@ use std::net::Ipv4Addr;
 const SRC: Ipv4Addr = Ipv4Addr::new(10, 0, 0, 1);
 const DST: Ipv4Addr = Ipv4Addr::new(10, 0, 0, 2);
 
+/// One full-size data frame, built the way the stack builds it: the TCP
+/// segment behind frame headroom in one allocation, then the IPv4 and
+/// Ethernet headers written in place.
 fn full_tcp_frame(payload: &[u8]) -> Vec<u8> {
-    let tcp = TcpHeader {
+    TcpHeader {
         src_port: 20,
         dst_port: 40000,
         seq: 12345,
@@ -20,24 +23,24 @@ fn full_tcp_frame(payload: &[u8]) -> Vec<u8> {
         window: 32768,
         mss: None,
     }
-    .emit(payload, SRC, DST);
-    let ip = Ipv4Header {
-        src: SRC,
-        dst: DST,
-        protocol: IpProtocol::Tcp,
-        ttl: 64,
-        ident: 99,
-        total_len: 0,
-        more_fragments: false,
-        frag_offset: 0,
-    }
-    .emit(&tcp);
-    EtherHeader {
-        dst: MacAddr::local(2),
-        src: MacAddr::local(1),
-        ethertype: EtherType::Ipv4,
-    }
-    .emit(&ip)
+    .emit_frame(&[payload], SRC, DST)
+    .into_frame(
+        &Ipv4Header {
+            src: SRC,
+            dst: DST,
+            protocol: IpProtocol::Tcp,
+            ttl: 64,
+            ident: 99,
+            total_len: 0,
+            more_fragments: false,
+            frag_offset: 0,
+        },
+        &EtherHeader {
+            dst: MacAddr::local(2),
+            src: MacAddr::local(1),
+            ethertype: EtherType::Ipv4,
+        },
+    )
 }
 
 fn bench_emit_parse(c: &mut Criterion) {

@@ -67,7 +67,8 @@ pub struct HostConfig {
     /// from ever running at wire speed. Applied as output pacing.
     pub cpu_per_frame: SimDuration,
     /// Maximum IP datagram size on the link (Ethernet: 1500). Larger
-    /// datagrams are fragmented on output and reassembled on input.
+    /// datagrams are fragmented on output and reassembled on input. At
+    /// least [`MIN_MTU`](crate::MIN_MTU).
     pub mtu: usize,
     /// TCP parameters.
     pub tcp: TcpConfig,

@@ -8,7 +8,9 @@ use crate::config::HostConfig;
 use crate::hooks::{DeviceTap, Direction, LinkShim, ShimRelease, ShimVerdict};
 use crate::tcp::{ConnEvent, EngineOut, TcpEngine, TcpHandle, TcpState};
 use netsim::{Context, EventKind, Frame, Node, PortId, SimDuration, SimRng, SimTime};
-use packet::{EtherHeader, EtherType, IcmpMessage, IpProtocol, Ipv4Header, MacAddr, UdpHeader};
+use packet::{
+    EtherHeader, EtherType, FrameBuf, IcmpMessage, IpProtocol, Ipv4Header, MacAddr, UdpHeader,
+};
 use std::collections::{HashMap, VecDeque};
 use std::net::Ipv4Addr;
 
@@ -27,6 +29,10 @@ pub const START_TOKEN: u64 = SUB_START;
 
 /// The NIC port every host uses.
 pub const NIC_PORT: PortId = PortId(0);
+
+/// Smallest MTU a host accepts: an IPv4 header plus one 8-byte fragment
+/// unit, so every fragment carries data.
+pub const MIN_MTU: usize = packet::IPV4_HEADER_LEN + 8;
 
 /// Counters exposed for experiments and tests.
 #[derive(Debug, Clone, Copy, Default)]
@@ -115,7 +121,7 @@ impl HostCore {
         &mut self,
         proto: IpProtocol,
         dst: Ipv4Addr,
-        payload: &[u8],
+        datagram: FrameBuf,
         ctx: &mut Context<'_>,
     ) {
         let ident = self.ip_ident;
@@ -131,41 +137,33 @@ impl HostCore {
             src: self.cfg.mac,
             ethertype: EtherType::Ipv4,
         };
-        let max_payload = self.cfg.mtu.saturating_sub(packet::IPV4_HEADER_LEN);
+        let src = self.cfg.ip;
+        let header = |more_fragments: bool, off: usize| Ipv4Header {
+            src,
+            dst,
+            protocol: proto,
+            ttl: 64,
+            ident,
+            total_len: 0,
+            more_fragments,
+            frag_offset: (off / 8) as u16,
+        };
+        let max_payload = self.cfg.mtu - packet::IPV4_HEADER_LEN;
+        let payload = datagram.payload();
         if payload.len() <= max_payload {
-            let header = Ipv4Header {
-                src: self.cfg.ip,
-                dst,
-                protocol: proto,
-                ttl: 64,
-                ident,
-                total_len: 0,
-                more_fragments: false,
-                frag_offset: 0,
-            };
-            let frame = ether.emit(&header.emit(payload));
+            // The common case: headers are written in place, no copy.
+            let frame = datagram.into_frame(&header(false, 0), &ether);
             self.out_through_shim(frame, ctx);
             return;
         }
         // Fragment: every piece except the last carries a multiple of 8
-        // bytes (the fragment-offset unit).
+        // bytes (the fragment-offset unit; `MIN_MTU` keeps it nonzero).
         let piece = max_payload & !7;
-        let mut off = 0usize;
-        while off < payload.len() {
+        for off in (0..payload.len()).step_by(piece) {
             let end = (off + piece).min(payload.len());
-            let header = Ipv4Header {
-                src: self.cfg.ip,
-                dst,
-                protocol: proto,
-                ttl: 64,
-                ident,
-                total_len: 0,
-                more_fragments: end < payload.len(),
-                frag_offset: (off / 8) as u16,
-            };
-            let frame = ether.emit(&header.emit(&payload[off..end]));
+            let frame = FrameBuf::from_payload(&payload[off..end])
+                .into_frame(&header(end < payload.len(), off), &ether);
             self.out_through_shim(frame, ctx);
-            off = end;
         }
     }
 
@@ -297,11 +295,11 @@ impl HostCore {
             entry.total = Some(off + data.len());
         }
         let total = entry.total?;
-        // Check contiguity 0..total.
-        let mut pieces = entry.pieces.clone();
-        pieces.sort_by_key(|&(o, _)| o);
+        // Check contiguity 0..total. The stable sort keeps duplicates in
+        // arrival order, so a later copy overwrites an earlier one.
+        entry.pieces.sort_by_key(|&(o, _)| o);
         let mut have = 0usize;
-        for (o, d) in &pieces {
+        for (o, d) in &entry.pieces {
             if *o > have {
                 return None; // gap
             }
@@ -311,12 +309,12 @@ impl HostCore {
             return None;
         }
         // Complete: assemble and drop the entry.
+        let entry = self.frags.remove(&key).expect("entry present above");
         let mut out = vec![0u8; total];
-        for (o, d) in pieces {
+        for (o, d) in entry.pieces {
             let end = (o + d.len()).min(total);
             out[o..end].copy_from_slice(&d[..end - o]);
         }
-        self.frags.remove(&key);
         Some(out)
     }
 
@@ -342,7 +340,7 @@ impl HostCore {
         match msg {
             IcmpMessage::Echo { .. } => {
                 let reply = msg.reply().expect("echo always has a reply");
-                self.ip_output(IpProtocol::Icmp, src, &reply.emit(), ctx);
+                self.ip_output(IpProtocol::Icmp, src, reply.emit_frame(), ctx);
             }
             IcmpMessage::EchoReply {
                 ident,
@@ -416,7 +414,7 @@ impl HostCore {
             self.pending.push_back((owner, app_ev));
         }
         for (dst, seg) in out.segments {
-            self.ip_output(IpProtocol::Tcp, dst, &seg, ctx);
+            self.ip_output(IpProtocol::Tcp, dst, seg, ctx);
         }
     }
 
@@ -509,7 +507,17 @@ pub struct Host {
 
 impl Host {
     /// Create a host from its configuration.
+    ///
+    /// # Panics
+    ///
+    /// If `cfg.mtu` is below [`MIN_MTU`].
     pub fn new(cfg: HostConfig) -> Self {
+        assert!(
+            cfg.mtu >= MIN_MTU,
+            "HostConfig::mtu {} is below the minimum of {MIN_MTU} bytes \
+             (a 20-byte IPv4 header plus one 8-byte fragment unit)",
+            cfg.mtu
+        );
         Host {
             core: HostCore::new(cfg),
             apps: Vec::new(),
@@ -699,13 +707,13 @@ impl HostApi<'_, '_> {
 
     /// Send a UDP datagram from `src_port` (which should be bound).
     pub fn udp_send(&mut self, src_port: u16, dst: (Ipv4Addr, u16), payload: &[u8]) {
-        let bytes = UdpHeader {
+        let datagram = UdpHeader {
             src_port,
             dst_port: dst.1,
         }
-        .emit(payload, self.core.cfg.ip, dst.0);
+        .emit_frame(payload, self.core.cfg.ip, dst.0);
         self.core
-            .ip_output(IpProtocol::Udp, dst.0, &bytes, self.ctx);
+            .ip_output(IpProtocol::Udp, dst.0, datagram, self.ctx);
     }
 
     // ---- TCP ----
@@ -779,7 +787,7 @@ impl HostApi<'_, '_> {
             payload,
         };
         self.core
-            .ip_output(IpProtocol::Icmp, dst, &msg.emit(), self.ctx);
+            .ip_output(IpProtocol::Icmp, dst, msg.emit_frame(), self.ctx);
     }
 }
 
@@ -1085,5 +1093,73 @@ mod tests {
         assert!(tap.polls > 0);
         assert_eq!(host.core().stats().frames_out, 3);
         assert_eq!(host.core().stats().frames_in, 3);
+    }
+
+    /// Tap folding every frame it sees (direction, time, bytes) into an
+    /// FNV-1a hash.
+    struct HashTap {
+        frames: u64,
+        hash: u64,
+    }
+
+    impl DeviceTap for HashTap {
+        fn on_frame(&mut self, dir: Direction, bytes: &[u8], now: SimTime) {
+            self.frames += 1;
+            let head = [u8::from(dir == Direction::Outbound)];
+            for &b in head
+                .iter()
+                .chain(&now.as_nanos().to_be_bytes())
+                .chain(bytes)
+            {
+                self.hash = (self.hash ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3);
+            }
+        }
+    }
+
+    /// Frame count and hash of the 1 MB transfer: any change to a wire
+    /// byte or to when a frame crosses the device moves them.
+    const GOLDEN_FRAMES: u64 = 1043;
+    const GOLDEN_HASH: u64 = 0xfea6_d9a8_5b24_b66c;
+
+    #[test]
+    fn bulk_transfer_wire_frames_match_golden_hash() {
+        // Every frame of the 1 MB transfer, both directions, as the
+        // sender's device sees them: headers, payload bytes and timing
+        // must stay exactly as recorded.
+        let (mut sim, na, nb) = two_hosts(SimDuration::ZERO, SimDuration::ZERO);
+        {
+            let host: &mut Host = sim.node_mut(na);
+            host.set_tracer(Box::new(HashTap {
+                frames: 0,
+                hash: 0xcbf2_9ce4_8422_2325,
+            }));
+            host.add_app(Box::new(BulkSender {
+                dst: (Ipv4Addr::new(10, 0, 0, 2), 5001),
+                total: 1_000_000,
+                sent: 0,
+                conn: None,
+                finished_at: None,
+            }));
+        }
+        {
+            let host: &mut Host = sim.node_mut(nb);
+            host.add_app(Box::new(Sink {
+                port: 5001,
+                received: 0,
+                peer_closed_at: None,
+            }));
+        }
+        start(&mut sim, nb);
+        start(&mut sim, na);
+        // The tap's device poll never stops, so bound the run by time.
+        sim.run_until(SimTime::from_secs(10));
+        let tap: &HashTap = sim.node::<Host>(na).tracer();
+        assert_eq!(
+            (tap.frames, tap.hash),
+            (GOLDEN_FRAMES, GOLDEN_HASH),
+            "wire frames changed: got ({}, {:#018x})",
+            tap.frames,
+            tap.hash
+        );
     }
 }

@@ -30,8 +30,8 @@ pub use config::{HostConfig, TcpConfig};
 pub use hooks::{
     CountingTap, DeviceTap, Direction, LinkShim, PassthroughShim, ShimRelease, ShimVerdict,
 };
-pub use host::{Host, HostApi, HostCore, HostStats, NIC_PORT, START_TOKEN};
-pub use tcp::{TcpHandle, TcpState};
+pub use host::{Host, HostApi, HostCore, HostStats, MIN_MTU, NIC_PORT, START_TOKEN};
+pub use tcp::{TcpHandle, TcpState, TcpTotals};
 
 use netsim::{EventKind, NodeId, SimTime, Simulator};
 

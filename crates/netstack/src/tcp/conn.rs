@@ -7,7 +7,7 @@ use super::reasm::{seq_le, seq_lt, Reassembly};
 use super::rtt::RttEstimator;
 use crate::config::TcpConfig;
 use netsim::{SimDuration, SimTime};
-use packet::{TcpFlags, TcpHeader};
+use packet::{FrameBuf, TcpFlags, TcpHeader};
 use std::collections::VecDeque;
 use std::net::Ipv4Addr;
 
@@ -57,17 +57,14 @@ pub enum ConnEvent {
 /// Segments and events produced while processing an input.
 #[derive(Debug, Default)]
 pub struct Out {
-    /// Segments to transmit: header plus payload (ports already filled
-    /// in; the engine adds the IP layer).
-    pub segs: Vec<(TcpHeader, Vec<u8>)>,
+    /// Finished segments to transmit, checksummed and behind frame
+    /// headroom; the IP layer writes its headers in place.
+    pub segs: Vec<FrameBuf>,
     /// Events for the owning application.
     pub events: Vec<ConnEvent>,
 }
 
 impl Out {
-    fn seg(&mut self, h: TcpHeader, p: Vec<u8>) {
-        self.segs.push((h, p));
-    }
     fn ev(&mut self, e: ConnEvent) {
         self.events.push(e);
     }
@@ -78,7 +75,8 @@ impl Out {
 pub struct TcpConn {
     cfg: TcpConfig,
     state: TcpState,
-    local_port: u16,
+    /// Local address and port (the address seeds segment checksums).
+    local: (Ipv4Addr, u16),
     /// Peer address, used by the engine to build the IP header.
     pub remote: (Ipv4Addr, u16),
 
@@ -89,10 +87,11 @@ pub struct TcpConn {
     cwnd: usize,
     ssthresh: usize,
     mss: usize,
-    /// Bytes accepted from the app but not yet transmitted.
-    send_q: VecDeque<u8>,
-    /// Bytes transmitted but unacknowledged; front is sequence `snd_una`.
-    rtx_q: VecDeque<u8>,
+    /// Send buffer indexed by offset from `snd_una`: the first `sent`
+    /// bytes are in flight (unacknowledged), the rest are not yet sent.
+    snd_buf: VecDeque<u8>,
+    /// Bytes at the front of `snd_buf` transmitted at least once.
+    sent: usize,
     fin_queued: bool,
     fin_sent: bool,
     dup_acks: u32,
@@ -125,14 +124,14 @@ pub struct TcpConn {
 }
 
 impl TcpConn {
-    fn new(cfg: TcpConfig, local_port: u16, remote: (Ipv4Addr, u16), iss: u32) -> Self {
+    fn new(cfg: TcpConfig, local: (Ipv4Addr, u16), remote: (Ipv4Addr, u16), iss: u32) -> Self {
         let mss = cfg.mss;
         let recv_wnd = cfg.recv_wnd;
         TcpConn {
             rtt: RttEstimator::new(&cfg),
             cfg,
             state: TcpState::Closed,
-            local_port,
+            local,
             remote,
             snd_una: iss,
             snd_nxt: iss,
@@ -140,8 +139,8 @@ impl TcpConn {
             cwnd: mss,
             ssthresh: usize::MAX / 2,
             mss,
-            send_q: VecDeque::new(),
-            rtx_q: VecDeque::new(),
+            snd_buf: VecDeque::new(),
+            sent: 0,
             fin_queued: false,
             fin_sent: false,
             dup_acks: 0,
@@ -166,18 +165,18 @@ impl TcpConn {
     /// Active open: create the connection and emit the SYN.
     pub fn connect(
         cfg: TcpConfig,
-        local_port: u16,
+        local: (Ipv4Addr, u16),
         remote: (Ipv4Addr, u16),
         iss: u32,
         now: SimTime,
         out: &mut Out,
     ) -> TcpConn {
-        let mut c = TcpConn::new(cfg, local_port, remote, iss);
+        let mut c = TcpConn::new(cfg, local, remote, iss);
         c.state = TcpState::SynSent;
         c.cwnd = c.cfg.init_cwnd_segs * c.mss;
         let mut h = c.header(TcpFlags::SYN);
         h.mss = Some(c.cfg.mss as u16);
-        out.seg(h, Vec::new());
+        c.emit(&h, &[], out);
         c.snd_nxt = iss.wrapping_add(1);
         c.arm_rtx(now);
         c
@@ -187,14 +186,14 @@ impl TcpConn {
     /// the SYN-ACK.
     pub fn accept(
         cfg: TcpConfig,
-        local_port: u16,
+        local: (Ipv4Addr, u16),
         remote: (Ipv4Addr, u16),
         iss: u32,
         syn: &TcpHeader,
         now: SimTime,
         out: &mut Out,
     ) -> TcpConn {
-        let mut c = TcpConn::new(cfg, local_port, remote, iss);
+        let mut c = TcpConn::new(cfg, local, remote, iss);
         c.state = TcpState::SynRcvd;
         c.rcv_nxt = syn.seq.wrapping_add(1);
         c.negotiate_mss(syn.mss);
@@ -206,7 +205,7 @@ impl TcpConn {
             ..Default::default()
         });
         h.mss = Some(c.cfg.mss as u16);
-        out.seg(h, Vec::new());
+        c.emit(&h, &[], out);
         c.snd_nxt = iss.wrapping_add(1);
         c.arm_rtx(now);
         c
@@ -239,7 +238,30 @@ impl TcpConn {
 
     /// Local port this connection is bound to.
     pub fn local_port(&self) -> u16 {
-        self.local_port
+        self.local.1
+    }
+
+    /// Bytes in the send buffer not yet transmitted.
+    fn unsent(&self) -> usize {
+        self.snd_buf.len() - self.sent
+    }
+
+    /// The send-buffer bytes at offsets `[from, from + n)`, as the (at most
+    /// two) contiguous pieces of the ring.
+    fn snd_range(&self, from: usize, n: usize) -> [&[u8]; 2] {
+        let (a, b) = self.snd_buf.as_slices();
+        let end = from + n;
+        let split = a.len();
+        [
+            &a[from.min(split)..end.min(split)],
+            &b[from.saturating_sub(split)..end.saturating_sub(split)],
+        ]
+    }
+
+    /// Serialize a segment (checksummed, behind frame headroom) into `out`.
+    fn emit(&self, h: &TcpHeader, payload: &[&[u8]], out: &mut Out) {
+        out.segs
+            .push(h.emit_frame(payload, self.local.0, self.remote.0));
     }
 
     fn flight(&self) -> u32 {
@@ -253,7 +275,7 @@ impl TcpConn {
 
     fn header(&self, flags: TcpFlags) -> TcpHeader {
         TcpHeader {
-            src_port: self.local_port,
+            src_port: self.local.1,
             dst_port: self.remote.1,
             seq: self.snd_nxt,
             ack: self.rcv_nxt,
@@ -266,7 +288,7 @@ impl TcpConn {
     fn send_pure_ack(&mut self, out: &mut Out) {
         let mut h = self.header(TcpFlags::ACK);
         h.seq = self.snd_nxt;
-        out.seg(h, Vec::new());
+        self.emit(&h, &[], out);
         self.segs_since_ack = 0;
         self.delack_deadline = None;
     }
@@ -286,10 +308,8 @@ impl TcpConn {
         {
             return 0;
         }
-        let used = self.send_q.len() + self.rtx_q.len();
-        let room = self.cfg.send_buf.saturating_sub(used);
-        let n = room.min(data.len());
-        self.send_q.extend(&data[..n]);
+        let n = self.send_space().min(data.len());
+        self.snd_buf.extend(&data[..n]);
         if n < data.len() {
             self.app_blocked = true;
         }
@@ -299,9 +319,7 @@ impl TcpConn {
 
     /// Bytes of free space in the send buffer.
     pub fn send_space(&self) -> usize {
-        self.cfg
-            .send_buf
-            .saturating_sub(self.send_q.len() + self.rtx_q.len())
+        self.cfg.send_buf.saturating_sub(self.snd_buf.len())
     }
 
     /// Graceful close: send remaining data, then FIN.
@@ -329,7 +347,7 @@ impl TcpConn {
                 ..Default::default()
             });
             h.seq = self.snd_nxt;
-            out.seg(h, Vec::new());
+            self.emit(&h, &[], out);
         }
         self.state = TcpState::Closed;
         self.clear_timers();
@@ -397,7 +415,7 @@ impl TcpConn {
                     });
                     sa.seq = self.snd_una;
                     sa.mss = Some(self.cfg.mss as u16);
-                    out.seg(sa, Vec::new());
+                    self.emit(&sa, &[], out);
                     return;
                 } else {
                     return;
@@ -450,12 +468,13 @@ impl TcpConn {
             // New data acknowledged.
             let mut acked = ack.wrapping_sub(self.snd_una) as usize;
             // FIN consumes one sequence number beyond the data.
-            if self.fin_sent && ack == self.snd_nxt && acked > self.rtx_q.len() {
+            if self.fin_sent && ack == self.snd_nxt && acked > self.sent {
                 acked -= 1;
                 self.on_fin_acked(now, out);
             }
-            let take = acked.min(self.rtx_q.len());
-            self.rtx_q.drain(..take);
+            let take = acked.min(self.sent);
+            self.snd_buf.drain(..take);
+            self.sent -= take;
             self.snd_una = ack;
             self.snd_wnd = h.window as u32;
             self.retries = 0;
@@ -611,7 +630,7 @@ impl TcpConn {
         // Zero-window probe: one byte past the window keeps things alive.
         if self.snd_wnd == 0
             && self.flight() == 0
-            && !self.send_q.is_empty()
+            && self.unsent() > 0
             && matches!(self.state, TcpState::Established | TcpState::CloseWait)
         {
             self.emit_data_segment(1, now, out);
@@ -619,13 +638,12 @@ impl TcpConn {
         }
         loop {
             let room = self.usable_window();
-            let n = room.min(self.mss).min(self.send_q.len());
+            let n = room.min(self.mss).min(self.unsent());
             if n == 0 {
                 break;
             }
             // Nagle-lite: send sub-MSS only if nothing is in flight.
-            if n < self.mss && self.flight() > 0 && self.send_q.len() < self.mss && !self.fin_queued
-            {
+            if n < self.mss && self.flight() > 0 && self.unsent() < self.mss && !self.fin_queued {
                 break;
             }
             self.emit_data_segment(n, now, out);
@@ -633,7 +651,7 @@ impl TcpConn {
         // Emit FIN once all data is out.
         if self.fin_queued
             && !self.fin_sent
-            && self.send_q.is_empty()
+            && self.unsent() == 0
             && matches!(self.state, TcpState::Established | TcpState::CloseWait)
         {
             let mut h = self.header(TcpFlags {
@@ -642,7 +660,7 @@ impl TcpConn {
                 ..Default::default()
             });
             h.seq = self.snd_nxt;
-            out.seg(h, Vec::new());
+            self.emit(&h, &[], out);
             self.snd_nxt = self.snd_nxt.wrapping_add(1);
             self.fin_sent = true;
             self.state = match self.state {
@@ -656,19 +674,17 @@ impl TcpConn {
     }
 
     fn emit_data_segment(&mut self, n: usize, now: SimTime, out: &mut Out) {
-        let payload: Vec<u8> = self.send_q.drain(..n).collect();
-        let mut h = self.header(TcpFlags {
+        let h = self.header(TcpFlags {
             ack: true,
-            psh: self.send_q.is_empty(),
+            psh: self.unsent() == n,
             ..Default::default()
         });
-        h.seq = self.snd_nxt;
+        self.emit(&h, &self.snd_range(self.sent, n), out);
         if self.rtt_sample.is_none() {
             self.rtt_sample = Some((self.snd_nxt.wrapping_add(n as u32), now));
         }
-        self.rtx_q.extend(payload.iter().copied());
+        self.sent += n;
         self.snd_nxt = self.snd_nxt.wrapping_add(n as u32);
-        out.seg(h, payload);
         if self.rtx_deadline.is_none() {
             self.arm_rtx(now);
         }
@@ -677,14 +693,14 @@ impl TcpConn {
     }
 
     fn retransmit_front(&mut self, now: SimTime, out: &mut Out) {
-        if self.rtx_q.is_empty() {
+        if self.sent == 0 {
             // Handshake or FIN retransmission.
             match self.state {
                 TcpState::SynSent => {
                     let mut h = self.header(TcpFlags::SYN);
                     h.seq = self.snd_una;
                     h.mss = Some(self.cfg.mss as u16);
-                    out.seg(h, Vec::new());
+                    self.emit(&h, &[], out);
                 }
                 TcpState::SynRcvd => {
                     let mut h = self.header(TcpFlags {
@@ -694,7 +710,7 @@ impl TcpConn {
                     });
                     h.seq = self.snd_una;
                     h.mss = Some(self.cfg.mss as u16);
-                    out.seg(h, Vec::new());
+                    self.emit(&h, &[], out);
                 }
                 _ if self.fin_sent => {
                     let mut h = self.header(TcpFlags {
@@ -703,20 +719,19 @@ impl TcpConn {
                         ..Default::default()
                     });
                     h.seq = self.snd_nxt.wrapping_sub(1);
-                    out.seg(h, Vec::new());
+                    self.emit(&h, &[], out);
                 }
                 _ => {}
             }
         } else {
-            let n = self.rtx_q.len().min(self.mss);
-            let payload: Vec<u8> = self.rtx_q.iter().take(n).copied().collect();
+            let n = self.sent.min(self.mss);
             let mut h = self.header(TcpFlags {
                 ack: true,
                 ..Default::default()
             });
             h.seq = self.snd_una;
             self.retransmitted_bytes += n as u64;
-            out.seg(h, payload);
+            self.emit(&h, &self.snd_range(0, n), out);
         }
         // Karn: never sample a retransmitted sequence range.
         self.rtt_sample = None;
@@ -799,9 +814,32 @@ mod tests {
 
     const LP: u16 = 1000;
     const RP: u16 = 2000;
+    const LIP: Ipv4Addr = Ipv4Addr::new(10, 0, 0, 1);
+    const RIP: Ipv4Addr = Ipv4Addr::new(10, 0, 0, 2);
 
-    fn rip() -> Ipv4Addr {
-        Ipv4Addr::new(10, 0, 0, 2)
+    /// Parse the segments in `out` as sent from `src` to `dst`.
+    fn parse(out: &Out, src: Ipv4Addr, dst: Ipv4Addr) -> Vec<(TcpHeader, Vec<u8>)> {
+        out.segs
+            .iter()
+            .map(|f| {
+                let (h, p) = TcpHeader::parse(f.payload(), src, dst).expect("valid segment");
+                (h, p.to_vec())
+            })
+            .collect()
+    }
+
+    /// Segments the client (LIP:LP) sent.
+    fn from_c(out: &Out) -> Vec<(TcpHeader, Vec<u8>)> {
+        parse(out, LIP, RIP)
+    }
+
+    /// Segments the server (RIP:RP) sent.
+    fn from_s(out: &Out) -> Vec<(TcpHeader, Vec<u8>)> {
+        parse(out, RIP, LIP)
+    }
+
+    fn client(iss: u32, out: &mut Out) -> TcpConn {
+        TcpConn::connect(cfg(), (LIP, LP), (RIP, RP), iss, t(0), out)
     }
 
     fn cfg() -> TcpConfig {
@@ -816,19 +854,19 @@ mod tests {
     /// each side's segments to the other.
     fn established_pair() -> (TcpConn, TcpConn) {
         let mut out_c = Out::default();
-        let mut client = TcpConn::connect(cfg(), LP, (rip(), RP), 1000, t(0), &mut out_c);
-        let (syn, _) = out_c.segs.pop().unwrap();
+        let mut client = client(1000, &mut out_c);
+        let (syn, _) = from_c(&out_c).pop().unwrap();
         assert!(syn.flags.syn && !syn.flags.ack);
 
         let mut out_s = Out::default();
-        let mut server = TcpConn::accept(cfg(), RP, (rip(), LP), 5000, &syn, t(1), &mut out_s);
-        let (synack, _) = out_s.segs.pop().unwrap();
+        let mut server = TcpConn::accept(cfg(), (RIP, RP), (LIP, LP), 5000, &syn, t(1), &mut out_s);
+        let (synack, _) = from_s(&out_s).pop().unwrap();
         assert!(synack.flags.syn && synack.flags.ack);
 
         let mut out_c = Out::default();
         client.on_segment(&synack, &[], t(2), &mut out_c);
         assert!(out_c.events.contains(&ConnEvent::Connected));
-        let (ack, _) = out_c.segs.pop().unwrap();
+        let (ack, _) = from_c(&out_c).pop().unwrap();
 
         let mut out_s = Out::default();
         server.on_segment(&ack, &[], t(3), &mut out_s);
@@ -849,8 +887,9 @@ mod tests {
         let mut out = Out::default();
         let n = c.send(b"hello world", t(10), &mut out);
         assert_eq!(n, 11);
-        assert_eq!(out.segs.len(), 1);
-        let (h, p) = &out.segs[0];
+        let segs = from_c(&out);
+        assert_eq!(segs.len(), 1);
+        let (h, p) = &segs[0];
         assert_eq!(p.as_slice(), b"hello world");
 
         let mut sout = Out::default();
@@ -866,8 +905,9 @@ mod tests {
         // Fire the delayed-ACK timer.
         let mut sout = Out::default();
         s.on_timer(t(300), &mut sout);
-        assert_eq!(sout.segs.len(), 1);
-        let (ack, _) = &sout.segs[0];
+        let acks = from_s(&sout);
+        assert_eq!(acks.len(), 1);
+        let (ack, _) = &acks[0];
         assert!(ack.flags.ack);
 
         let mut cout = Out::default();
@@ -883,7 +923,7 @@ mod tests {
         c.send(&vec![0u8; 2920], t(10), &mut out); // exactly 2 MSS segments
         assert_eq!(out.segs.len(), 2);
         let mut sout = Out::default();
-        for (h, p) in &out.segs {
+        for (h, p) in &from_c(&out) {
             s.on_segment(h, p, t(11), &mut sout);
         }
         // Every-other-segment ACK policy.
@@ -897,29 +937,31 @@ mod tests {
         c.cwnd = 100 * 1460;
         let mut out = Out::default();
         c.send(&vec![7u8; 1460 * 5], t(10), &mut out);
-        assert_eq!(out.segs.len(), 5);
+        let data = from_c(&out);
+        assert_eq!(data.len(), 5);
 
         // Drop the first segment; deliver 2..5.
         let mut sout = Out::default();
-        for (h, p) in &out.segs[1..] {
+        for (h, p) in &data[1..] {
             s.on_segment(h, p, t(11), &mut sout);
         }
         // Each out-of-order segment forces an immediate dup ACK.
-        assert_eq!(sout.segs.len(), 4);
-        for (h, _) in &sout.segs {
-            assert_eq!(h.ack, out.segs[0].0.seq);
+        let dup_acks = from_s(&sout);
+        assert_eq!(dup_acks.len(), 4);
+        for (h, _) in &dup_acks {
+            assert_eq!(h.ack, data[0].0.seq);
         }
 
         // Feed dup ACKs back: the third triggers fast retransmit.
         let mut cout = Out::default();
-        for (h, _) in &sout.segs {
+        for (h, _) in &dup_acks {
             c.on_segment(h, &[], t(12), &mut cout);
         }
         assert_eq!(c.fast_retransmits, 1);
-        let rtx: Vec<_> = cout
-            .segs
+        let sent = from_c(&cout);
+        let rtx: Vec<_> = sent
             .iter()
-            .filter(|(h, p)| !p.is_empty() && h.seq == out.segs[0].0.seq)
+            .filter(|(h, p)| !p.is_empty() && h.seq == data[0].0.seq)
             .collect();
         assert_eq!(rtx.len(), 1);
 
@@ -951,7 +993,7 @@ mod tests {
         assert_eq!(c.cwnd(), 1460);
         assert!(c.cwnd() <= cwnd_before);
         assert_eq!(out2.segs.len(), 1);
-        assert_eq!(out2.segs[0].0.seq, out.segs[0].0.seq);
+        assert_eq!(from_c(&out2)[0].0.seq, from_c(&out)[0].0.seq);
         assert_eq!(c.retransmitted_bytes, 1460);
         // Deadline re-armed with backoff.
         assert!(c.next_deadline().unwrap() > deadline);
@@ -981,14 +1023,14 @@ mod tests {
         let mut cout = Out::default();
         c.close(t(10), &mut cout);
         assert_eq!(c.state(), TcpState::FinWait1);
-        let (fin, _) = cout.segs.pop().unwrap();
+        let (fin, _) = from_c(&cout).pop().unwrap();
         assert!(fin.flags.fin);
 
         let mut sout = Out::default();
         s.on_segment(&fin, &[], t(11), &mut sout);
         assert_eq!(s.state(), TcpState::CloseWait);
         assert!(sout.events.contains(&ConnEvent::PeerClosed));
-        let (ack, _) = sout.segs.pop().unwrap();
+        let (ack, _) = from_s(&sout).pop().unwrap();
 
         let mut cout = Out::default();
         c.on_segment(&ack, &[], t(12), &mut cout);
@@ -998,12 +1040,12 @@ mod tests {
         let mut sout = Out::default();
         s.close(t(13), &mut sout);
         assert_eq!(s.state(), TcpState::LastAck);
-        let (fin2, _) = sout.segs.pop().unwrap();
+        let (fin2, _) = from_s(&sout).pop().unwrap();
         let mut cout = Out::default();
         c.on_segment(&fin2, &[], t(14), &mut cout);
         assert_eq!(c.state(), TcpState::TimeWait);
         assert!(cout.events.contains(&ConnEvent::PeerClosed));
-        let (ack2, _) = cout.segs.pop().unwrap();
+        let (ack2, _) = from_c(&cout).pop().unwrap();
 
         let mut sout = Out::default();
         s.on_segment(&ack2, &[], t(15), &mut sout);
@@ -1027,7 +1069,7 @@ mod tests {
         let mut cout = Out::default();
         c.close(t(10), &mut cout);
         // Segments: data(1460), data(540), fin.
-        let all: Vec<_> = out.segs.into_iter().chain(cout.segs).collect();
+        let all: Vec<_> = from_c(&out).into_iter().chain(from_c(&cout)).collect();
         assert_eq!(all.len(), 3);
         assert!(all[2].0.flags.fin);
 
@@ -1069,7 +1111,8 @@ mod tests {
         let mut now = t(11);
         for _ in 0..100 {
             let mut sout = Out::default();
-            let segs = std::mem::take(&mut out.segs);
+            let segs = from_c(&out);
+            out.segs.clear();
             if segs.is_empty() {
                 break;
             }
@@ -1079,7 +1122,7 @@ mod tests {
             // Flush server's delayed ack if armed.
             let mut fl = Out::default();
             s.on_timer(now + SimDuration::from_millis(250), &mut fl);
-            for (h, p) in sout.segs.iter().chain(fl.segs.iter()) {
+            for (h, p) in from_s(&sout).iter().chain(from_s(&fl).iter()) {
                 c.on_segment(h, p, now + SimDuration::from_millis(260), &mut out);
             }
             acked_events.append(&mut out.events);
@@ -1118,11 +1161,11 @@ mod tests {
         let mut out = Out::default();
         c.send(&vec![0u8; 1460 * 2], t(10), &mut out);
         let mut sout = Out::default();
-        for (h, p) in &out.segs {
+        for (h, p) in &from_c(&out) {
             s.on_segment(h, p, t(11), &mut sout);
         }
         let mut cout = Out::default();
-        for (h, p) in &sout.segs {
+        for (h, p) in &from_s(&sout) {
             c.on_segment(h, p, t(12), &mut cout);
         }
         assert!(c.cwnd() > initial, "{} vs {initial}", c.cwnd());
@@ -1147,26 +1190,28 @@ mod tests {
         let n = c.send(b"stuck data", t(11), &mut out);
         assert_eq!(n, 10);
         // A 1-byte probe goes out despite the zero window.
-        assert_eq!(out.segs.len(), 1);
-        assert_eq!(out.segs[0].1.len(), 1);
+        let probe = from_c(&out);
+        assert_eq!(probe.len(), 1);
+        assert_eq!(probe[0].1.len(), 1);
     }
 
     #[test]
     fn syn_retransmission() {
         let mut out = Out::default();
-        let mut c = TcpConn::connect(cfg(), LP, (rip(), RP), 1, t(0), &mut out);
+        let mut c = client(1, &mut out);
         let d1 = c.next_deadline().unwrap();
         let mut o = Out::default();
         c.on_timer(d1, &mut o);
-        assert_eq!(o.segs.len(), 1);
-        assert!(o.segs[0].0.flags.syn);
-        assert_eq!(o.segs[0].0.seq, 1);
+        let syn = from_c(&o);
+        assert_eq!(syn.len(), 1);
+        assert!(syn[0].0.flags.syn);
+        assert_eq!(syn[0].0.seq, 1);
     }
 
     #[test]
     fn mss_negotiated_to_min() {
         let mut out = Out::default();
-        let mut c = TcpConn::connect(cfg(), LP, (rip(), RP), 1, t(0), &mut out);
+        let mut c = client(1, &mut out);
         let synack = TcpHeader {
             src_port: RP,
             dst_port: LP,
@@ -1186,6 +1231,6 @@ mod tests {
         // Large send is chunked at the negotiated MSS.
         let mut o = Out::default();
         c.send(&vec![0u8; 2000], t(2), &mut o);
-        assert!(o.segs.iter().all(|(_, p)| p.len() <= 512));
+        assert!(from_c(&o).iter().all(|(_, p)| p.len() <= 512));
     }
 }

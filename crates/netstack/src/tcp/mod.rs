@@ -11,7 +11,7 @@ pub use rtt::RttEstimator;
 
 use crate::config::TcpConfig;
 use netsim::{SimRng, SimTime};
-use packet::{TcpFlags, TcpHeader};
+use packet::{FrameBuf, TcpFlags, TcpHeader};
 use std::collections::HashMap;
 use std::net::Ipv4Addr;
 
@@ -19,12 +19,13 @@ use std::net::Ipv4Addr;
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct TcpHandle(pub u32);
 
-/// Output of one engine operation: wire segments (destination IP + raw TCP
-/// bytes) and application events tagged with their connection.
+/// Output of one engine operation: wire segments (destination IP + a
+/// finished TCP segment behind frame headroom) and application events
+/// tagged with their connection.
 #[derive(Debug, Default)]
 pub struct EngineOut {
-    /// `(dst_ip, tcp_segment_bytes)` ready for the IP layer.
-    pub segments: Vec<(Ipv4Addr, Vec<u8>)>,
+    /// `(dst_ip, segment)` ready for the IP layer.
+    pub segments: Vec<(Ipv4Addr, FrameBuf)>,
     /// `(conn, event)` for the application layer.
     pub events: Vec<(TcpHandle, ConnEvent)>,
     /// Connections freshly created by an incoming SYN on a listening
@@ -32,11 +33,33 @@ pub struct EngineOut {
     pub accepted: Vec<(u16, TcpHandle)>,
 }
 
+/// Retransmission counters summed over every connection an engine has
+/// had, including those already closed and reaped.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct TcpTotals {
+    /// Payload bytes retransmitted.
+    pub retransmitted_bytes: u64,
+    /// Fast retransmits triggered.
+    pub fast_retransmits: u64,
+    /// RTO firings.
+    pub timeouts: u64,
+}
+
+impl TcpTotals {
+    fn add(&mut self, c: &TcpConn) {
+        self.retransmitted_bytes += c.retransmitted_bytes;
+        self.fast_retransmits += c.fast_retransmits;
+        self.timeouts += c.timeouts;
+    }
+}
+
 /// The per-host TCP engine.
 pub struct TcpEngine {
     cfg: TcpConfig,
     local_ip: Ipv4Addr,
     conns: Vec<Option<TcpConn>>,
+    /// Counters of reaped connections.
+    reaped: TcpTotals,
     by_tuple: HashMap<(u16, Ipv4Addr, u16), usize>,
     listeners: HashMap<u16, ()>,
     next_ephemeral: u16,
@@ -49,6 +72,7 @@ impl TcpEngine {
             cfg,
             local_ip,
             conns: Vec::new(),
+            reaped: TcpTotals::default(),
             by_tuple: HashMap::new(),
             listeners: HashMap::new(),
             next_ephemeral: 40_000,
@@ -108,7 +132,8 @@ impl TcpEngine {
         let port = self.alloc_port();
         let iss = rng.u64() as u32;
         let mut cout = Out::default();
-        let conn = TcpConn::connect(self.cfg.clone(), port, remote, iss, now, &mut cout);
+        let local = (self.local_ip, port);
+        let conn = TcpConn::connect(self.cfg.clone(), local, remote, iss, now, &mut cout);
         let handle = self.alloc_slot(conn, (port, remote.0, remote.1));
         self.merge(handle, cout, out);
         handle
@@ -120,18 +145,16 @@ impl TcpEngine {
             let c = self.conns[idx].as_ref().expect("merged for live conn");
             (c.remote, c.local_port())
         };
-        for (h, p) in cout.segs {
-            debug_assert_eq!(h.src_port, local_port);
-            out.segments
-                .push((remote.0, h.emit(&p, self.local_ip, remote.0)));
-        }
+        out.segments
+            .extend(cout.segs.into_iter().map(|seg| (remote.0, seg)));
         for e in cout.events {
             out.events.push((handle, e));
         }
         // Reap fully closed connections once their events are out.
         if self.conns[idx].as_ref().is_some_and(TcpConn::is_closed) {
+            let c = self.conns[idx].take().expect("checked closed above");
+            self.reaped.add(&c);
             self.by_tuple.remove(&(local_port, remote.0, remote.1));
-            self.conns[idx] = None;
         }
     }
 
@@ -225,7 +248,7 @@ impl TcpEngine {
             let mut cout = Out::default();
             let conn = TcpConn::accept(
                 self.cfg.clone(),
-                h.dst_port,
+                (self.local_ip, h.dst_port),
                 (src_ip, h.src_port),
                 iss,
                 &h,
@@ -255,7 +278,7 @@ impl TcpEngine {
                 mss: None,
             };
             out.segments
-                .push((src_ip, rst.emit(&[], self.local_ip, src_ip)));
+                .push((src_ip, rst.emit_frame(&[], self.local_ip, src_ip)));
         }
     }
 
@@ -291,6 +314,16 @@ impl TcpEngine {
         }
     }
 
+    /// Retransmission counters over every connection this engine has had,
+    /// live or reaped.
+    pub fn totals(&self) -> TcpTotals {
+        let mut t = self.reaped;
+        for c in self.conns.iter().flatten() {
+            t.add(c);
+        }
+        t
+    }
+
     /// Number of live connections (diagnostics).
     pub fn live_connections(&self) -> usize {
         self.conns.iter().flatten().count()
@@ -308,7 +341,7 @@ mod tests {
         SimTime::from_millis(ms)
     }
 
-    type SegQueue = Vec<(bool, Vec<(Ipv4Addr, Vec<u8>)>)>;
+    type SegQueue = Vec<(bool, Vec<(Ipv4Addr, FrameBuf)>)>;
 
     /// Shuttle segments between two engines until quiescent.
     fn pump(
@@ -332,10 +365,11 @@ mod tests {
         while let Some((from_c, segs)) = queue.pop() {
             steps += 1;
             assert!(steps < 10_000, "pump did not quiesce");
-            for (_dst, bytes) in segs {
+            for (_dst, seg) in segs {
+                let bytes = seg.payload();
                 let mut out = EngineOut::default();
                 if from_c {
-                    server.on_segment(CLIENT_IP, &bytes, now, &mut rng, &mut out);
+                    server.on_segment(CLIENT_IP, bytes, now, &mut rng, &mut out);
                     for (h, e) in out.events {
                         events.push((false, h, e));
                     }
@@ -346,7 +380,7 @@ mod tests {
                         queue.push((false, out.segments));
                     }
                 } else {
-                    client.on_segment(SERVER_IP, &bytes, now, &mut rng, &mut out);
+                    client.on_segment(SERVER_IP, bytes, now, &mut rng, &mut out);
                     for (h, e) in out.events {
                         events.push((true, h, e));
                     }
@@ -489,6 +523,86 @@ mod tests {
         client.on_timer(dl, &mut out);
         assert!(out.events.contains(&(ch, ConnEvent::Closed)));
         assert_eq!(client.live_connections(), 0);
+    }
+
+    #[test]
+    fn totals_survive_full_close() {
+        let mut client = TcpEngine::new(CLIENT_IP, TcpConfig::default());
+        let mut server = TcpEngine::new(SERVER_IP, TcpConfig::default());
+        server.listen(80);
+        let mut rng = SimRng::seed_from_u64(6);
+        let mut out = EngineOut::default();
+        let ch = client.connect((SERVER_IP, 80), t(0), &mut rng, &mut out);
+        let mut events = Vec::new();
+        let mut accepted = Vec::new();
+        pump(
+            &mut client,
+            &mut server,
+            t(1),
+            &mut events,
+            &mut accepted,
+            out,
+            true,
+        );
+        let sh = accepted[0];
+
+        // The data segment is lost; the RTO retransmits it.
+        let mut lost = EngineOut::default();
+        client.send(ch, &[7u8; 1000], t(2), &mut lost);
+        assert_eq!(lost.segments.len(), 1);
+        let rto = client.next_deadline().unwrap();
+        let mut out = EngineOut::default();
+        client.on_timer(rto, &mut out);
+        let before = client.totals();
+        assert_eq!(
+            before,
+            TcpTotals {
+                retransmitted_bytes: 1000,
+                fast_retransmits: 0,
+                timeouts: 1,
+            }
+        );
+        pump(
+            &mut client,
+            &mut server,
+            rto,
+            &mut events,
+            &mut accepted,
+            out,
+            true,
+        );
+
+        // Close both directions and let TIME-WAIT expire.
+        let mut out = EngineOut::default();
+        client.close(ch, rto, &mut out);
+        pump(
+            &mut client,
+            &mut server,
+            rto,
+            &mut events,
+            &mut accepted,
+            out,
+            true,
+        );
+        let mut out = EngineOut::default();
+        server.close(sh, rto, &mut out);
+        pump(
+            &mut client,
+            &mut server,
+            rto,
+            &mut events,
+            &mut accepted,
+            out,
+            false,
+        );
+        let dl = client.next_deadline().unwrap();
+        let mut out = EngineOut::default();
+        client.on_timer(dl, &mut out);
+        assert!(out.events.contains(&(ch, ConnEvent::Closed)));
+        assert_eq!(client.live_connections(), 0);
+        assert!(client.conn(ch).is_none());
+        assert_eq!(client.totals(), before);
+        assert_eq!(server.totals(), TcpTotals::default());
     }
 
     #[test]

@@ -1,6 +1,6 @@
 //! IP fragmentation/reassembly: large UDP datagrams must cross the
-//! MTU-limited link intact, survive fragment reordering, and vanish
-//! cleanly (not corrupt anything) when a fragment is lost.
+//! MTU-limited link intact, survive fragment reordering and duplication,
+//! and vanish cleanly (not corrupt anything) when a fragment is lost.
 
 use netsim::{Context, EventKind, LinkParams, Node, PortId, SimDuration, SimTime, Simulator};
 use netstack::{start_host, App, AppEvent, Host, HostApi, HostConfig, NIC_PORT};
@@ -42,16 +42,21 @@ impl App for BigReceiver {
     }
 }
 
-/// A relay that reorders (swaps pairs) or drops the nth frame.
+/// A relay that reorders (swaps pairs, or replays held frames in a
+/// scripted order with repeats) or drops the nth frame.
 struct Meddler {
     mode: MeddleMode,
     held: Option<(PortId, netsim::Frame)>,
     count: usize,
+    stash: Vec<netsim::Frame>,
 }
 enum MeddleMode {
     Passthrough,
     SwapPairs,
     DropNth(usize),
+    /// Hold frames until every index in the script has arrived, then send
+    /// them in script order (an index may repeat).
+    Replay(Vec<usize>),
 }
 impl Node for Meddler {
     fn on_event(&mut self, ev: EventKind, ctx: &mut Context<'_>) {
@@ -76,14 +81,27 @@ impl Node for Meddler {
                         ctx.send(out, frame);
                     }
                 }
+                MeddleMode::Replay(ref order) => {
+                    self.stash.push(frame);
+                    if self.stash.len() == order.iter().max().map_or(0, |&m| m + 1) {
+                        for &i in order {
+                            ctx.send(out, self.stash[i].clone());
+                        }
+                    }
+                }
             }
         }
     }
 }
 
 fn run(size: usize, mode: MeddleMode) -> (Vec<Vec<u8>>, u64) {
-    let mut a =
-        Host::new(HostConfig::new("a", IP_A, MacAddr::local(1)).with_arp(IP_B, MacAddr::local(2)));
+    run_with_mtu(size, mode, 1500)
+}
+
+fn run_with_mtu(size: usize, mode: MeddleMode, mtu: usize) -> (Vec<Vec<u8>>, u64) {
+    let mut cfg_a = HostConfig::new("a", IP_A, MacAddr::local(1)).with_arp(IP_B, MacAddr::local(2));
+    cfg_a.mtu = mtu;
+    let mut a = Host::new(cfg_a);
     a.add_app(Box::new(BigSender {
         dst: (IP_B, 9000),
         size,
@@ -101,6 +119,7 @@ fn run(size: usize, mode: MeddleMode) -> (Vec<Vec<u8>>, u64) {
         mode,
         held: None,
         count: 0,
+        stash: Vec::new(),
     }));
     let link = LinkParams::new(10_000_000, SimDuration::from_micros(50), 64);
     sim.connect_sym(na, NIC_PORT, relay, PortId(0), link);
@@ -160,4 +179,33 @@ fn max_size_datagram() {
     assert_eq!(got[0].len(), size);
     assert_eq!(got[0], expected(size));
     assert!(frames > 40);
+}
+
+#[test]
+fn scrambled_and_duplicated_fragments_reassemble_once() {
+    // Six fragments arrive last-first, with repeats before and after the
+    // one that completes the datagram. The datagram is delivered exactly
+    // once, byte for byte; the late duplicates start a partial datagram
+    // that never completes.
+    let order = vec![5, 2, 5, 0, 4, 2, 3, 1, 0, 3];
+    let (got, frames) = run(8192, MeddleMode::Replay(order));
+    assert_eq!(frames, 10);
+    assert_eq!(got, vec![expected(8192)]);
+}
+
+#[test]
+fn smallest_mtu_sends_eight_byte_fragments() {
+    // MTU 28 leaves one 8-byte fragment unit per frame: 108 bytes of UDP
+    // datagram cross as 14 fragments.
+    let (got, frames) = run_with_mtu(100, MeddleMode::Passthrough, 28);
+    assert_eq!(got, vec![expected(100)]);
+    assert_eq!(frames, 14);
+}
+
+#[test]
+#[should_panic(expected = "below the minimum of 28 bytes")]
+fn mtu_without_room_for_a_fragment_is_rejected() {
+    // Below 28 bytes a fragment has no room for data, so fragmenting a
+    // datagram could never make progress: the host refuses the MTU.
+    run_with_mtu(100, MeddleMode::Passthrough, 27);
 }

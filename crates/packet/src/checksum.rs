@@ -3,9 +3,14 @@
 use std::net::Ipv4Addr;
 
 /// Incremental ones-complement sum accumulator.
+///
+/// Sums 8 bytes per step into a `u64` with end-around carry. Ones-complement
+/// addition is associative and 2^16 ≡ 1 (mod 2^16 − 1), so summing four
+/// big-endian 16-bit words at once and folding at the end gives the same
+/// result as RFC 1071's word-pair sum, bit for bit.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct Checksum {
-    sum: u32,
+    sum: u64,
 }
 
 impl Checksum {
@@ -14,31 +19,32 @@ impl Checksum {
         Checksum { sum: 0 }
     }
 
+    fn add_u64(&mut self, v: u64) {
+        let (s, carry) = self.sum.overflowing_add(v);
+        self.sum = s + u64::from(carry);
+    }
+
     /// Fold a byte slice into the sum. Odd-length slices are padded with a
     /// trailing zero byte, per RFC 1071. Slices must be fed on the same
     /// 16-bit alignment they occupy in the packet (all our callers feed
     /// even-length prefixes, so this holds).
     pub fn add_bytes(&mut self, data: &[u8]) {
-        let mut chunks = data.chunks_exact(2);
-        for c in &mut chunks {
-            self.sum += u32::from(u16::from_be_bytes([c[0], c[1]]));
+        let mut words = data.chunks_exact(8);
+        for w in &mut words {
+            self.add_u64(u64::from_be_bytes(w.try_into().expect("8-byte chunk")));
         }
-        if let [last] = chunks.remainder() {
-            self.sum += u32::from(u16::from_be_bytes([*last, 0]));
+        let tail = words.remainder();
+        if !tail.is_empty() {
+            let mut last = [0u8; 8];
+            last[..tail.len()].copy_from_slice(tail);
+            self.add_u64(u64::from_be_bytes(last));
         }
-    }
-
-    /// Fold a single big-endian 16-bit word into the sum.
-    pub fn add_u16(&mut self, v: u16) {
-        self.sum += u32::from(v);
     }
 
     /// Fold the TCP/UDP pseudo-header: src, dst, zero+protocol, length.
     pub fn add_pseudo_header(&mut self, src: Ipv4Addr, dst: Ipv4Addr, protocol: u8, len: u16) {
-        self.add_bytes(&src.octets());
-        self.add_bytes(&dst.octets());
-        self.add_u16(u16::from(protocol));
-        self.add_u16(len);
+        self.add_u64(u64::from(u32::from(src)) << 32 | u64::from(u32::from(dst)));
+        self.add_u64(u64::from(protocol) << 16 | u64::from(len));
     }
 
     /// Finish: fold carries and complement.

@@ -107,11 +107,17 @@ impl EtherHeader {
     /// Serialize the header followed by `payload`.
     pub fn emit(&self, payload: &[u8]) -> Vec<u8> {
         let mut out = Vec::with_capacity(ETHER_HEADER_LEN + payload.len());
-        out.extend_from_slice(&self.dst.0);
-        out.extend_from_slice(&self.src.0);
-        out.extend_from_slice(&u16::from(self.ethertype).to_be_bytes());
+        out.resize(ETHER_HEADER_LEN, 0);
+        self.write(&mut out);
         out.extend_from_slice(payload);
         out
+    }
+
+    /// Write the header into the first [`ETHER_HEADER_LEN`] bytes of `out`.
+    pub(crate) fn write(&self, out: &mut [u8]) {
+        out[0..6].copy_from_slice(&self.dst.0);
+        out[6..12].copy_from_slice(&self.src.0);
+        out[12..14].copy_from_slice(&u16::from(self.ethertype).to_be_bytes());
     }
 }
 

@@ -1,8 +1,9 @@
 //! ICMP echo / echo-reply codec — the carrier of the paper's known
 //! workload (a modified `ping` sending small/large ECHO triplets).
 
-use crate::checksum::{checksum, Checksum};
+use crate::checksum::checksum;
 use crate::error::{ParseError, Result};
+use crate::frame::FrameBuf;
 
 /// An ICMP message. Only the types the tracing workload needs are given
 /// structure; everything else is preserved raw.
@@ -83,7 +84,29 @@ impl IcmpMessage {
 
     /// Serialize, computing the checksum.
     pub fn emit(&self) -> Vec<u8> {
-        let mut out = Vec::new();
+        let mut out = Vec::with_capacity(self.wire_len());
+        self.write(&mut out);
+        out
+    }
+
+    /// Serialize behind frame headroom, computing the checksum.
+    pub fn emit_frame(&self) -> FrameBuf {
+        FrameBuf::build(self.wire_len(), |out| self.write(out))
+    }
+
+    /// Length of the serialized message.
+    fn wire_len(&self) -> usize {
+        match self {
+            IcmpMessage::Echo { payload, .. } | IcmpMessage::EchoReply { payload, .. } => {
+                ICMP_ECHO_HEADER_LEN + payload.len()
+            }
+            IcmpMessage::Other { body, .. } => 4 + body.len(),
+        }
+    }
+
+    /// Append the message to `out` and fill in the checksum.
+    fn write(&self, out: &mut Vec<u8>) {
+        let start = out.len();
         match self {
             IcmpMessage::Echo {
                 ident,
@@ -120,11 +143,9 @@ impl IcmpMessage {
                 out.extend_from_slice(body);
             }
         }
-        let mut c = Checksum::new();
-        c.add_bytes(&out);
-        let ck = c.finish();
-        out[2..4].copy_from_slice(&ck.to_be_bytes());
-        out
+        let msg = &mut out[start..];
+        let ck = checksum(msg);
+        msg[2..4].copy_from_slice(&ck.to_be_bytes());
     }
 
     /// Build the reply this message demands, or `None` if it isn't an echo

@@ -120,27 +120,36 @@ impl Ipv4Header {
     /// Serialize a 20-byte header followed by `payload`, computing the
     /// header checksum and total length.
     pub fn emit(&self, payload: &[u8]) -> Vec<u8> {
-        let total = IPV4_HEADER_LEN + payload.len();
+        let mut out = Vec::with_capacity(IPV4_HEADER_LEN + payload.len());
+        out.resize(IPV4_HEADER_LEN, 0);
+        self.write(&mut out, payload.len());
+        out.extend_from_slice(payload);
+        out
+    }
+
+    /// Write the 20-byte header for a payload of `payload_len` bytes into
+    /// the first [`IPV4_HEADER_LEN`] bytes of `out`, computing the total
+    /// length and header checksum.
+    pub(crate) fn write(&self, out: &mut [u8], payload_len: usize) {
+        let total = IPV4_HEADER_LEN + payload_len;
         assert!(total <= u16::MAX as usize, "IPv4 datagram too large");
-        let mut out = Vec::with_capacity(total);
-        out.push(0x45); // version 4, IHL 5
-        out.push(0); // DSCP/ECN
-        out.extend_from_slice(&(total as u16).to_be_bytes());
-        out.extend_from_slice(&self.ident.to_be_bytes());
         // Flags+fragment-offset: MF when more fragments follow; DF is
         // left clear so the stack may fragment large datagrams.
         let flags_frag =
             (if self.more_fragments { 0x2000u16 } else { 0 }) | (self.frag_offset & 0x1FFF);
-        out.extend_from_slice(&flags_frag.to_be_bytes());
-        out.push(self.ttl);
-        out.push(self.protocol.into());
-        out.extend_from_slice(&[0, 0]); // checksum placeholder
-        out.extend_from_slice(&self.src.octets());
-        out.extend_from_slice(&self.dst.octets());
-        let c = checksum(&out[..IPV4_HEADER_LEN]);
+        let out = &mut out[..IPV4_HEADER_LEN];
+        out[0] = 0x45; // version 4, IHL 5
+        out[1] = 0; // DSCP/ECN
+        out[2..4].copy_from_slice(&(total as u16).to_be_bytes());
+        out[4..6].copy_from_slice(&self.ident.to_be_bytes());
+        out[6..8].copy_from_slice(&flags_frag.to_be_bytes());
+        out[8] = self.ttl;
+        out[9] = self.protocol.into();
+        out[10..12].copy_from_slice(&[0, 0]); // checksum placeholder
+        out[12..16].copy_from_slice(&self.src.octets());
+        out[16..20].copy_from_slice(&self.dst.octets());
+        let c = checksum(out);
         out[10..12].copy_from_slice(&c.to_be_bytes());
-        out.extend_from_slice(payload);
-        out
     }
 
     /// Start a transport checksum accumulator seeded with this header's

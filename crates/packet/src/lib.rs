@@ -40,6 +40,7 @@
 pub mod checksum;
 mod error;
 mod ether;
+mod frame;
 mod icmp;
 mod ipv4;
 mod tcp;
@@ -47,6 +48,7 @@ mod udp;
 
 pub use error::{ParseError, Result};
 pub use ether::{EtherHeader, EtherType, MacAddr, ETHER_HEADER_LEN};
+pub use frame::{FrameBuf, FRAME_HEADROOM};
 pub use icmp::{IcmpMessage, ICMP_ECHO_HEADER_LEN};
 pub use ipv4::{IpProtocol, Ipv4Header, IPV4_HEADER_LEN};
 pub use tcp::{TcpFlags, TcpHeader, TCP_HEADER_LEN};

@@ -4,6 +4,7 @@
 
 use crate::checksum::Checksum;
 use crate::error::{ParseError, Result};
+use crate::frame::FrameBuf;
 use std::fmt;
 use std::net::Ipv4Addr;
 
@@ -175,30 +176,46 @@ impl TcpHeader {
 
     /// Serialize header + payload, computing the checksum.
     pub fn emit(&self, payload: &[u8], src: Ipv4Addr, dst: Ipv4Addr) -> Vec<u8> {
-        let hlen = self.wire_len();
-        let total = hlen + payload.len();
-        let mut out = Vec::with_capacity(total);
-        out.extend_from_slice(&self.src_port.to_be_bytes());
-        out.extend_from_slice(&self.dst_port.to_be_bytes());
-        out.extend_from_slice(&self.seq.to_be_bytes());
-        out.extend_from_slice(&self.ack.to_be_bytes());
-        out.push(((hlen / 4) as u8) << 4);
-        out.push(self.flags.to_byte());
-        out.extend_from_slice(&self.window.to_be_bytes());
-        out.extend_from_slice(&[0, 0]); // checksum placeholder
-        out.extend_from_slice(&[0, 0]); // urgent pointer (unused)
-        if let Some(mss) = self.mss {
-            out.push(2);
-            out.push(4);
-            out.extend_from_slice(&mss.to_be_bytes());
-        }
-        out.extend_from_slice(payload);
-        let mut c = Checksum::new();
-        c.add_pseudo_header(src, dst, 6, total as u16);
-        c.add_bytes(&out);
-        let ck = c.finish();
-        out[16..18].copy_from_slice(&ck.to_be_bytes());
+        let mut out = Vec::with_capacity(self.wire_len() + payload.len());
+        self.write(&mut out, &[payload], src, dst);
         out
+    }
+
+    /// Serialize header + payload behind frame headroom, computing the
+    /// checksum. The payload may arrive in pieces (a ring buffer's two
+    /// halves); each byte is copied once, into the frame.
+    pub fn emit_frame(&self, payload: &[&[u8]], src: Ipv4Addr, dst: Ipv4Addr) -> FrameBuf {
+        let len = self.wire_len() + payload.iter().map(|p| p.len()).sum::<usize>();
+        FrameBuf::build(len, |out| self.write(out, payload, src, dst))
+    }
+
+    /// Append header + payload to `out` and fill in the checksum.
+    fn write(&self, out: &mut Vec<u8>, payload: &[&[u8]], src: Ipv4Addr, dst: Ipv4Addr) {
+        let start = out.len();
+        let hlen = self.wire_len();
+        let mut h = [0u8; TCP_HEADER_LEN + 4];
+        h[0..2].copy_from_slice(&self.src_port.to_be_bytes());
+        h[2..4].copy_from_slice(&self.dst_port.to_be_bytes());
+        h[4..8].copy_from_slice(&self.seq.to_be_bytes());
+        h[8..12].copy_from_slice(&self.ack.to_be_bytes());
+        h[12] = ((hlen / 4) as u8) << 4;
+        h[13] = self.flags.to_byte();
+        h[14..16].copy_from_slice(&self.window.to_be_bytes());
+        // h[16..18]: checksum placeholder; h[18..20]: urgent pointer (unused).
+        if let Some(mss) = self.mss {
+            h[20] = 2;
+            h[21] = 4;
+            h[22..24].copy_from_slice(&mss.to_be_bytes());
+        }
+        out.extend_from_slice(&h[..hlen]);
+        for p in payload {
+            out.extend_from_slice(p);
+        }
+        let seg = &mut out[start..];
+        let mut c = Checksum::new();
+        c.add_pseudo_header(src, dst, 6, seg.len() as u16);
+        c.add_bytes(seg);
+        seg[16..18].copy_from_slice(&c.finish().to_be_bytes());
     }
 }
 

@@ -2,6 +2,7 @@
 
 use crate::checksum::Checksum;
 use crate::error::{ParseError, Result};
+use crate::frame::FrameBuf;
 use std::net::Ipv4Addr;
 
 /// UDP header length.
@@ -58,23 +59,38 @@ impl UdpHeader {
     /// Serialize header + payload, computing the checksum over the
     /// pseudo-header.
     pub fn emit(&self, payload: &[u8], src: Ipv4Addr, dst: Ipv4Addr) -> Vec<u8> {
+        let mut out = Vec::with_capacity(UDP_HEADER_LEN + payload.len());
+        self.write(&mut out, payload, src, dst);
+        out
+    }
+
+    /// Serialize header + payload behind frame headroom, computing the
+    /// checksum over the pseudo-header.
+    pub fn emit_frame(&self, payload: &[u8], src: Ipv4Addr, dst: Ipv4Addr) -> FrameBuf {
+        FrameBuf::build(UDP_HEADER_LEN + payload.len(), |out| {
+            self.write(out, payload, src, dst)
+        })
+    }
+
+    /// Append header + payload to `out` and fill in the checksum.
+    fn write(&self, out: &mut Vec<u8>, payload: &[u8], src: Ipv4Addr, dst: Ipv4Addr) {
         let len = UDP_HEADER_LEN + payload.len();
         assert!(len <= u16::MAX as usize, "UDP datagram too large");
-        let mut out = Vec::with_capacity(len);
+        let start = out.len();
         out.extend_from_slice(&self.src_port.to_be_bytes());
         out.extend_from_slice(&self.dst_port.to_be_bytes());
         out.extend_from_slice(&(len as u16).to_be_bytes());
         out.extend_from_slice(&[0, 0]);
         out.extend_from_slice(payload);
+        let dgram = &mut out[start..];
         let mut c = Checksum::new();
         c.add_pseudo_header(src, dst, 17, len as u16);
-        c.add_bytes(&out);
+        c.add_bytes(dgram);
         let mut ck = c.finish();
         if ck == 0 {
             ck = 0xffff; // RFC 768: zero means "no checksum"
         }
-        out[6..8].copy_from_slice(&ck.to_be_bytes());
-        out
+        dgram[6..8].copy_from_slice(&ck.to_be_bytes());
     }
 }
 
