@@ -141,6 +141,29 @@ proptest! {
     }
 }
 
+/// A ring smaller than the boundary count evicts the same rows in every
+/// shard, so the merged eviction count — and with it the deterministic
+/// report and the Prometheus export — does not depend on the shard
+/// count.
+#[test]
+fn ring_evictions_are_shard_invariant() {
+    // 4 s + 10 s drain grace ⇒ 14 one-second boundaries, 10 evicted.
+    let plan = tiny_plan(8, 11).with_telemetry(TelemetryConfig::default().with_ring_capacity(4));
+    let one = fleet_run(&plan, &Exec::serial());
+    let eight = fleet_run(&plan.clone().with_shards(8), &Exec::with_workers(4));
+    let (a, b) = (
+        one.report.telemetry.as_ref().expect("telemetry on"),
+        eight.report.telemetry.as_ref().expect("telemetry on"),
+    );
+    assert_eq!(a.evicted, 10);
+    assert_eq!(a.series.len(), 4);
+    assert_eq!(a.to_prometheus(), b.to_prometheus());
+    assert_eq!(
+        one.report.deterministic_json(),
+        eight.report.deterministic_json()
+    );
+}
+
 /// A `kill_worker` fault against a fleet shard: the shard restarts and
 /// reruns clean, so every output byte matches the fault-free run; the
 /// only difference is the fault ledger recording the kill.

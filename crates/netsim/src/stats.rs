@@ -83,17 +83,16 @@ impl Summary {
     /// between closest ranks. `None` when empty or when samples were
     /// not retained.
     pub fn percentile(&self, p: f64) -> Option<f64> {
-        let s = self.samples.as_ref()?;
-        if s.is_empty() {
-            return None;
-        }
-        let mut sorted = s.clone();
+        percentile_of_sorted(&self.sorted_samples()?, p)
+    }
+
+    /// The retained observations sorted ascending by [`f64::total_cmp`]
+    /// (`None` unless samples are retained). Sort once, then read any
+    /// number of percentiles with [`percentile_of_sorted`].
+    pub fn sorted_samples(&self) -> Option<Vec<f64>> {
+        let mut sorted = self.samples.clone()?;
         sorted.sort_by(f64::total_cmp);
-        let rank = (p / 100.0).clamp(0.0, 1.0) * (sorted.len() - 1) as f64;
-        let lo = rank.floor() as usize;
-        let hi = rank.ceil() as usize;
-        let frac = rank - lo as f64;
-        Some(sorted[lo] + (sorted[hi] - sorted[lo]) * frac)
+        Some(sorted)
     }
 
     /// Median (0 when empty or samples not retained).
@@ -153,6 +152,21 @@ impl Summary {
             self.max
         }
     }
+}
+
+/// Exact percentile (`p` in 0–100) of observations already sorted
+/// ascending by [`f64::total_cmp`], with linear interpolation between
+/// closest ranks; `None` when empty. [`Summary::percentile`] is this
+/// over a fresh sort.
+pub fn percentile_of_sorted(sorted: &[f64], p: f64) -> Option<f64> {
+    if sorted.is_empty() {
+        return None;
+    }
+    let rank = (p / 100.0).clamp(0.0, 1.0) * (sorted.len() - 1) as f64;
+    let lo = rank.floor() as usize;
+    let hi = rank.ceil() as usize;
+    let frac = rank - lo as f64;
+    Some(sorted[lo] + (sorted[hi] - sorted[lo]) * frac)
 }
 
 /// A `(time, value)` series with helpers for bucketing into normalized

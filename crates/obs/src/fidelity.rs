@@ -17,7 +17,7 @@
 //!   expected loss probability over the same packets.
 
 use crate::metrics::{Hist, HistSnapshot};
-use netsim::stats::Summary;
+use netsim::stats::percentile_of_sorted;
 use serde::{Deserialize, Serialize};
 
 /// Histogram range for signed delay error, in milliseconds. ±25 ms
@@ -32,7 +32,6 @@ const DELAY_ERR_BINS: usize = 50;
 #[derive(Debug, Clone)]
 pub struct FidelityCollector {
     delay_error_ms: Hist,
-    abs_error_ms: Summary,
     abs_error_total_ns: u64,
     deadline_misses: u64,
     drift_clamps: u64,
@@ -57,7 +56,6 @@ impl FidelityCollector {
     pub fn new() -> Self {
         FidelityCollector {
             delay_error_ms: Hist::new(-DELAY_ERR_RANGE_MS, DELAY_ERR_RANGE_MS, DELAY_ERR_BINS),
-            abs_error_ms: Summary::keeping_samples(),
             abs_error_total_ns: 0,
             deadline_misses: 0,
             drift_clamps: 0,
@@ -123,7 +121,6 @@ impl FidelityCollector {
     pub fn on_release(&mut self, error_ms: f64, missed_deadline: bool) {
         self.released += 1;
         self.delay_error_ms.observe(error_ms);
-        self.abs_error_ms.add(error_ms.abs());
         // `as` saturates on overflow/NaN; saturating_add keeps the
         // accumulator well-defined under pathological error magnitudes.
         self.abs_error_total_ns = self
@@ -154,8 +151,12 @@ impl FidelityCollector {
         self.starvation_saturated
     }
 
-    /// Snapshot the evidence into a report.
+    /// Snapshot the evidence into a report. The signed delay errors
+    /// are sorted once; the |error| percentiles come from that order.
     pub fn report(&self) -> FidelityReport {
+        let sorted = self.delay_error_ms.sorted_samples();
+        let abs = abs_sorted(&sorted);
+        let abs_pct = |p| percentile_of_sorted(&abs, p).unwrap_or(0.0);
         let released = self.released.max(1) as f64;
         let offered = (self.modulated + self.unmodulated).max(1) as f64;
         let expected_loss_rate = if self.modulated == 0 {
@@ -173,10 +174,10 @@ impl FidelityCollector {
             unmodulated_packets: self.unmodulated,
             dropped_packets: self.dropped,
             released_packets: self.released,
-            delay_error_ms: self.delay_error_ms.snapshot(),
-            abs_delay_error_p50_ms: self.abs_error_ms.p50(),
-            abs_delay_error_p95_ms: self.abs_error_ms.p95(),
-            abs_delay_error_p99_ms: self.abs_error_ms.p99(),
+            delay_error_ms: self.delay_error_ms.snapshot_sorted(&sorted),
+            abs_delay_error_p50_ms: abs_pct(50.0),
+            abs_delay_error_p95_ms: abs_pct(95.0),
+            abs_delay_error_p99_ms: abs_pct(99.0),
             deadline_misses: self.deadline_misses,
             deadline_miss_rate: self.deadline_misses as f64 / released,
             drift_clamps: self.drift_clamps,
@@ -189,6 +190,17 @@ impl FidelityCollector {
             degraded: self.starvation_saturated,
         }
     }
+}
+
+/// `|x|` of observations sorted ascending by [`f64::total_cmp`], itself
+/// so sorted. The sign-negative prefix, reversed, is ascending in `|x|`,
+/// as is the rest; the stable sort merges those two runs in linear time.
+fn abs_sorted(sorted: &[f64]) -> Vec<f64> {
+    let split = sorted.partition_point(|x| x.is_sign_negative());
+    let (neg, pos) = sorted.split_at(split);
+    let mut abs: Vec<f64> = neg.iter().rev().chain(pos).map(|x| x.abs()).collect();
+    abs.sort_by(f64::total_cmp);
+    abs
 }
 
 /// The fidelity self-check section of a run manifest.

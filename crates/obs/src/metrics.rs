@@ -4,7 +4,7 @@
 //! runner threads; [`Hist`] is single-owner and meant for per-cell
 //! (deterministic, virtual-time-keyed) measurement.
 
-use netsim::stats::{Histogram, Summary};
+use netsim::stats::{percentile_of_sorted, Histogram, Summary};
 use serde::{Deserialize, Serialize};
 use std::sync::atomic::{AtomicU64, Ordering};
 
@@ -131,17 +131,30 @@ impl Hist {
         &self.buckets
     }
 
-    /// A serializable snapshot of the distribution.
+    /// A serializable snapshot of the distribution (one sort for all
+    /// three percentiles).
     pub fn snapshot(&self) -> HistSnapshot {
+        self.snapshot_sorted(&self.sorted_samples())
+    }
+
+    /// The observations sorted ascending by [`f64::total_cmp`].
+    pub(crate) fn sorted_samples(&self) -> Vec<f64> {
+        self.summary.sorted_samples().unwrap_or_default()
+    }
+
+    /// [`snapshot`](Hist::snapshot) from [`sorted_samples`](Hist::sorted_samples)
+    /// the caller already holds.
+    pub(crate) fn snapshot_sorted(&self, sorted: &[f64]) -> HistSnapshot {
+        let pct = |p| percentile_of_sorted(sorted, p).unwrap_or(0.0);
         HistSnapshot {
             count: self.summary.count(),
             mean: self.summary.mean(),
             stddev: self.summary.stddev(),
             min: self.summary.min(),
             max: self.summary.max(),
-            p50: self.summary.p50(),
-            p95: self.summary.p95(),
-            p99: self.summary.p99(),
+            p50: pct(50.0),
+            p95: pct(95.0),
+            p99: pct(99.0),
             bins: self.buckets.bins().to_vec(),
         }
     }

@@ -175,6 +175,24 @@ pub struct SampleInputs {
     pub degraded_clients: u64,
 }
 
+/// Field-wise sum: readings from disjoint client sets at the same
+/// boundary add up to the reading of their union.
+impl std::ops::AddAssign for SampleInputs {
+    fn add_assign(&mut self, o: SampleInputs) {
+        self.events += o.events;
+        self.queue_depth += o.queue_depth;
+        self.packets_live += o.packets_live;
+        self.mod_held += o.mod_held;
+        self.probes_sent += o.probes_sent;
+        self.rtts_completed += o.rtts_completed;
+        self.packets_lost += o.packets_lost;
+        self.released += o.released;
+        self.abs_delay_error_ns += o.abs_delay_error_ns;
+        self.station_frames += o.station_frames;
+        self.degraded_clients += o.degraded_clients;
+    }
+}
+
 /// One shard's telemetry: a bounded virtual-time series ring plus a
 /// top-K tracker of the shard's worst clients. Owned single-threaded
 /// by the shard's engine loop — recording is a handful of integer
@@ -416,7 +434,9 @@ pub struct FleetTelemetry {
     pub schema: u32,
     /// Virtual-time sampling interval (ns).
     pub interval_ns: u64,
-    /// Rows evicted across all shard rings.
+    /// Rows evicted from each shard ring. Every shard samples the same
+    /// boundaries, so the count is common to all rings (and so is
+    /// independent of the shard count).
     pub evicted: u64,
     /// Merged series, oldest first.
     pub series: Vec<SamplePoint>,
@@ -429,10 +449,10 @@ pub struct FleetTelemetry {
 impl FleetTelemetry {
     /// Merge per-shard telemetry **in plan order**: rows at the same
     /// boundary sum field-wise (all shards sample the same boundary
-    /// set, so the rings align index for index), worst-client trackers
-    /// fold under max semantics. Panics if shard rings disagree on
-    /// interval or boundaries — that would mean the shards ran
-    /// different plans.
+    /// set, so the rings align index for index and evict alike),
+    /// worst-client trackers fold under max semantics. Panics if shard
+    /// rings disagree on interval, boundaries or eviction count — that
+    /// would mean the shards ran different plans.
     pub fn merge<'a>(shards: impl IntoIterator<Item = &'a ShardTelemetry>) -> FleetTelemetry {
         let mut out: Option<(FleetTelemetry, TopK)> = None;
         for shard in shards {
@@ -462,7 +482,10 @@ impl FleetTelemetry {
                         assert_eq!(row.t_ns, other.t_ns, "shard boundary mismatch");
                         row.absorb(other);
                     }
-                    tel.evicted += shard.evicted;
+                    assert_eq!(
+                        tel.evicted, shard.evicted,
+                        "shard rings evicted different row counts"
+                    );
                     worst.merge_max(&shard.worst_clients);
                 }
             }
@@ -826,6 +849,23 @@ mod tests {
         assert_eq!(jsonl.lines().count(), 1);
         let back: SamplePoint = serde_json::from_str(jsonl.trim()).unwrap();
         assert_eq!(back, merged.series[0]);
+    }
+
+    #[test]
+    fn merge_keeps_the_common_per_ring_eviction_count() {
+        let cfg = TelemetryConfig::default().with_ring_capacity(1);
+        let shards: Vec<ShardTelemetry> = (0..3)
+            .map(|i| {
+                let mut t = ShardTelemetry::new(cfg);
+                t.sample(1_000_000_000, inputs(i, 0, 0));
+                t.sample(2_000_000_000, inputs(2 * i, 0, 0));
+                t
+            })
+            .collect();
+        let merged = FleetTelemetry::merge(&shards);
+        assert_eq!(merged.evicted, 1, "one row fell out of each ring");
+        assert_eq!(merged.series.len(), 1);
+        assert_eq!(merged.series[0].events, 3);
     }
 
     #[test]
