@@ -8,7 +8,8 @@
 //! seconds so one iteration stays around a second of wall time; the
 //! client count, not the walk length, is what the entry guards (the
 //! engine's cost is linear in events, and events scale with
-//! clients × duration).
+//! clients × duration). `manifests_json_10k` prices the JSON
+//! serializer alone over that fleet's finished manifests.
 
 use criterion::{criterion_group, criterion_main, Criterion, Throughput};
 use emu::{fleet_run, Exec, FleetPlan};
@@ -49,6 +50,18 @@ fn bench_fleet(c: &mut Criterion) {
             out.report.released_packets
         });
     });
+    // The serializer layer behind the end-to-end `obs.report_s`: the
+    // deterministic JSON of every client manifest of a finished 10k
+    // fleet. The fleet runs once, outside the timed loop.
+    let out = fleet_run(&base_plan(clients), &Exec::serial());
+    let json_bytes = |out: &emu::FleetOutcome| -> u64 {
+        out.manifests
+            .iter()
+            .map(|m| m.deterministic_json().len() as u64)
+            .sum()
+    };
+    g.throughput(Throughput::Bytes(json_bytes(&out)));
+    g.bench_function("manifests_json_10k", |b| b.iter(|| json_bytes(&out)));
     g.finish();
 }
 

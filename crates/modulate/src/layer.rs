@@ -154,6 +154,13 @@ fn hold_tick_ns(clock: &TickClock) -> u64 {
 /// equivalence tests in `tests/wheel_vs_heap.rs` hold them to
 /// bit-identical schedules.
 enum HoldQueue {
+    /// A calendar queue not built yet, with the tick and width it gets
+    /// on the first hold. The builder methods only adjust these, so a
+    /// modulator builds at most one wheel, with its final shape.
+    Unbuilt {
+        tick_ns: u64,
+        slots: usize,
+    },
     Wheel(Box<CalendarQueue<HeldPkt>>),
     Heap(BinaryHeap<HeldPkt>),
 }
@@ -161,6 +168,7 @@ enum HoldQueue {
 impl HoldQueue {
     fn len(&self) -> usize {
         match self {
+            HoldQueue::Unbuilt { .. } => 0,
             HoldQueue::Wheel(q) => q.len(),
             HoldQueue::Heap(h) => h.len(),
         }
@@ -172,6 +180,11 @@ impl HoldQueue {
 
     fn push(&mut self, pkt: HeldPkt) {
         match self {
+            HoldQueue::Unbuilt { tick_ns, slots } => {
+                let mut q = CalendarQueue::with_slots(*tick_ns, *slots);
+                q.push(pkt);
+                *self = HoldQueue::Wheel(Box::new(q));
+            }
             HoldQueue::Wheel(q) => q.push(pkt),
             HoldQueue::Heap(h) => h.push(pkt),
         }
@@ -179,6 +192,7 @@ impl HoldQueue {
 
     fn next_due(&self) -> Option<SimTime> {
         match self {
+            HoldQueue::Unbuilt { .. } => None,
             HoldQueue::Wheel(q) => q.next_due_ns().map(SimTime::from_nanos),
             HoldQueue::Heap(h) => h.peek().map(|p| p.due),
         }
@@ -188,6 +202,7 @@ impl HoldQueue {
     /// `(due, seq)`.
     fn drain_due_into(&mut self, now: SimTime, out: &mut Vec<HeldPkt>) {
         match self {
+            HoldQueue::Unbuilt { .. } => {}
             HoldQueue::Wheel(q) => q.drain_due_into(now.as_nanos(), out),
             HoldQueue::Heap(h) => {
                 // Pop-first rather than peek-then-pop: the not-yet-due
@@ -279,7 +294,10 @@ impl Modulator {
         let clock = TickClock::netbsd();
         Modulator {
             source,
-            held: HoldQueue::Wheel(Box::new(CalendarQueue::new(hold_tick_ns(&clock)))),
+            held: HoldQueue::Unbuilt {
+                tick_ns: hold_tick_ns(&clock),
+                slots: netsim::wheel::SLOTS,
+            },
             clock,
             compensation_vb: 0.0,
             bottleneck_free: SimTime::ZERO,
@@ -323,13 +341,16 @@ impl Modulator {
         // Re-bucket the calendar queue to the new tick, preserving any
         // custom wheel width (construction time only: the queue is
         // still empty).
-        if let HoldQueue::Wheel(q) = &self.held {
-            if q.is_empty() {
-                self.held = HoldQueue::Wheel(Box::new(CalendarQueue::with_slots(
-                    hold_tick_ns(&self.clock),
-                    q.slot_count(),
-                )));
-            }
+        let width = match &self.held {
+            HoldQueue::Unbuilt { slots, .. } => Some(*slots),
+            HoldQueue::Wheel(q) if q.is_empty() => Some(q.slot_count()),
+            _ => None,
+        };
+        if let Some(slots) = width {
+            self.held = HoldQueue::Unbuilt {
+                tick_ns: hold_tick_ns(&self.clock),
+                slots,
+            };
         }
         self
     }
@@ -347,10 +368,14 @@ impl Modulator {
             self.held.is_empty(),
             "resize the wheel before offering packets"
         );
-        self.held = HoldQueue::Wheel(Box::new(CalendarQueue::with_slots(
-            hold_tick_ns(&self.clock),
-            slot_count,
-        )));
+        assert!(
+            slot_count > 0 && slot_count.is_multiple_of(64),
+            "slot count must be a positive multiple of 64"
+        );
+        self.held = HoldQueue::Unbuilt {
+            tick_ns: hold_tick_ns(&self.clock),
+            slots: slot_count,
+        };
         self
     }
 
@@ -434,11 +459,11 @@ impl Modulator {
     }
 
     /// Calendar-queue usage counters (all zero under the reference heap
-    /// scheduler). Virtual-time deterministic.
+    /// scheduler and before the first hold). Virtual-time deterministic.
     pub fn sched_stats(&self) -> WheelStats {
         match &self.held {
             HoldQueue::Wheel(q) => q.stats(),
-            HoldQueue::Heap(_) => WheelStats::default(),
+            HoldQueue::Unbuilt { .. } | HoldQueue::Heap(_) => WheelStats::default(),
         }
     }
 

@@ -137,8 +137,6 @@ pub struct CalendarQueue<T: WheelItem> {
     /// `len > 0` means "recompute on demand". Interior-mutable so
     /// `next_due_ns(&self)` can memoize.
     min_cache: Cell<Option<(u64, u64)>>,
-    /// Recycled bucket allocations (refilled by wholesale drains).
-    spare: Vec<Vec<T>>,
     stats: WheelStats,
 }
 
@@ -151,7 +149,6 @@ struct PooledParts<T> {
     occupied: Vec<u64>,
     staging: Vec<T>,
     sorted: Vec<T>,
-    spare: Vec<Vec<T>>,
     front: BinaryHeap<Front<T>>,
 }
 
@@ -223,7 +220,6 @@ impl<T: WheelItem> CalendarQueue<T> {
             occupied: vec![0u64; slot_count / 64],
             staging: Vec::new(),
             sorted: Vec::new(),
-            spare: Vec::new(),
             front: BinaryHeap::new(),
         });
         debug_assert!(parts.slots.iter().all(Vec::is_empty));
@@ -239,7 +235,6 @@ impl<T: WheelItem> CalendarQueue<T> {
             sorted: parts.sorted,
             len: 0,
             min_cache: Cell::new(None),
-            spare: parts.spare,
             stats: WheelStats::default(),
         }
     }
@@ -301,12 +296,6 @@ impl<T: WheelItem> CalendarQueue<T> {
     fn slot_push(&mut self, tick: u64, item: T) {
         debug_assert!(tick > self.front_tick && tick - self.front_tick <= self.slots.len() as u64);
         let slot = (tick % self.slots.len() as u64) as usize;
-        if self.slots[slot].is_empty() {
-            if let Some(mut spare) = self.spare.pop() {
-                spare.clear();
-                self.slots[slot] = spare;
-            }
-        }
         self.slots[slot].push(item);
         self.occupied[slot / 64] |= 1u64 << (slot % 64);
     }
@@ -533,7 +522,7 @@ impl<T: WheelItem> CalendarQueue<T> {
             !self.slots[slot].is_empty() && self.slots[slot][0].due_ns() / self.tick_ns == tick
         );
         self.occupied[slot / 64] &= !(1u64 << (slot % 64));
-        std::mem::replace(&mut self.slots[slot], self.spare.pop().unwrap_or_default())
+        std::mem::take(&mut self.slots[slot])
     }
 
     /// First occupied slot in circular order starting just after the
@@ -610,7 +599,6 @@ impl<T: WheelItem> Drop for CalendarQueue<T> {
             occupied: std::mem::take(&mut self.occupied),
             staging: std::mem::take(&mut self.staging),
             sorted: std::mem::take(&mut self.sorted),
-            spare: std::mem::take(&mut self.spare),
             front: std::mem::take(&mut self.front),
         });
     }

@@ -99,10 +99,18 @@ impl RunManifest {
     /// Compact JSON with the wall-clock section stripped — the form two
     /// runs of the same cell must match **byte for byte**, regardless
     /// of `--jobs`.
+    ///
+    /// Panics if the manifest does not serialize (a non-finite float):
+    /// an empty string here would make unequal runs compare equal.
     pub fn deterministic_json(&self) -> String {
-        let mut c = self.clone();
-        c.runner = None;
-        serde_json::to_string(&c).unwrap_or_default()
+        let json = if self.runner.is_none() {
+            serde_json::to_string(self)
+        } else {
+            let mut c = self.clone();
+            c.runner = None;
+            serde_json::to_string(&c)
+        };
+        json.expect("run manifest serializes")
     }
 
     /// Check the fidelity section against `th` (empty = pass).
@@ -372,6 +380,17 @@ mod tests {
         assert_ne!(a, b);
         assert_eq!(a.deterministic_json(), b.deterministic_json());
         assert!(!a.deterministic_json().contains("wall_secs"));
+    }
+
+    #[test]
+    fn deterministic_json_refuses_non_finite_gauges() {
+        // Both used to serialize as "" and so compared equal.
+        for (scenario, bad) in [("porter", f64::NAN), ("wean", f64::INFINITY)] {
+            let mut m = RunManifest::new(scenario, "web", 0);
+            m.metrics.set_gauge("modulate.load", bad);
+            let out = std::panic::catch_unwind(|| m.deterministic_json());
+            assert!(out.is_err(), "{scenario}: got {out:?}");
+        }
     }
 
     #[test]

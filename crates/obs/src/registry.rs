@@ -2,7 +2,7 @@
 //! everything a pipeline stage measured.
 
 use crate::metrics::HistSnapshot;
-use serde::{DeError, Deserialize, Serialize, Value};
+use serde::{DeError, Deserialize, Serialize, Serializer, Value};
 use std::collections::BTreeMap;
 
 /// A snapshot of named metrics — counters (integers), gauges (floats),
@@ -114,8 +114,12 @@ impl MetricsRegistry {
     }
 }
 
-fn map_to_value<T: Serialize>(m: &BTreeMap<String, T>) -> Value {
-    Value::Object(m.iter().map(|(k, v)| (k.clone(), v.serialize())).collect())
+fn write_map<T: Serialize>(s: &mut Serializer<'_>, m: &BTreeMap<String, T>) {
+    s.begin_object();
+    for (k, v) in m {
+        s.field(k, v);
+    }
+    s.end_object();
 }
 
 fn map_from_value<T: Deserialize>(v: &Value, what: &str) -> Result<BTreeMap<String, T>, DeError> {
@@ -130,12 +134,15 @@ fn map_from_value<T: Deserialize>(v: &Value, what: &str) -> Result<BTreeMap<Stri
 }
 
 impl Serialize for MetricsRegistry {
-    fn serialize(&self) -> Value {
-        Value::Object(vec![
-            ("counters".to_string(), map_to_value(&self.counters)),
-            ("gauges".to_string(), map_to_value(&self.gauges)),
-            ("hists".to_string(), map_to_value(&self.hists)),
-        ])
+    fn serialize(&self, s: &mut Serializer<'_>) {
+        s.begin_object();
+        s.key("counters");
+        write_map(s, &self.counters);
+        s.key("gauges");
+        write_map(s, &self.gauges);
+        s.key("hists");
+        write_map(s, &self.hists);
+        s.end_object();
     }
 }
 

@@ -1,10 +1,13 @@
 //! Offline stand-in for `serde_derive`.
 //!
 //! Hand-rolled (no `syn`/`quote`) derive macros for the serde shim's
-//! [`Serialize`]/[`Deserialize`] traits. Supports exactly the shapes
-//! this workspace declares: non-generic structs with named fields and
-//! enums whose variants are unit, newtype, or struct-like, plus the
-//! field attributes `#[serde(default)]` and `#[serde(default = "path")]`.
+//! [`Serialize`]/[`Deserialize`] traits. `Serialize` impls stream each
+//! field through the shim's `Serializer` in declaration order;
+//! `Deserialize` impls read fields out of the parsed `Value` tree.
+//! Supports exactly the shapes this workspace declares: non-generic
+//! structs with named fields and enums whose variants are unit,
+//! newtype, or struct-like, plus the field attributes
+//! `#[serde(default)]` and `#[serde(default = "path")]`.
 //! Anything else panics at expansion time with a clear message.
 
 #![warn(missing_docs)]
@@ -267,20 +270,16 @@ fn parse_variants(tokens: &[TokenTree]) -> Vec<Variant> {
 // ------------------------------------------------------------- generation
 
 fn gen_struct_serialize(name: &str, fields: &[Field]) -> String {
-    let mut pushes = String::new();
+    let mut writes = String::new();
     for f in fields {
-        pushes.push_str(&format!(
-            "__fields.push((\"{0}\".to_string(), ::serde::Serialize::serialize(&self.{0})));\n",
-            f.name
-        ));
+        writes.push_str(&format!("__s.field(\"{0}\", &self.{0});\n", f.name));
     }
     format!(
         "impl ::serde::Serialize for {name} {{\n\
-            fn serialize(&self) -> ::serde::Value {{\n\
-                let mut __fields: ::std::vec::Vec<(::std::string::String, ::serde::Value)> = \
-                    ::std::vec::Vec::new();\n\
-                {pushes}\
-                ::serde::Value::Object(__fields)\n\
+            fn serialize(&self, __s: &mut ::serde::Serializer<'_>) {{\n\
+                __s.begin_object();\n\
+                {writes}\
+                __s.end_object();\n\
             }}\n\
         }}"
     )
@@ -328,31 +327,29 @@ fn gen_enum_serialize(name: &str, variants: &[Variant]) -> String {
     for v in variants {
         let vn = &v.name;
         match &v.kind {
-            VariantKind::Unit => arms.push_str(&format!(
-                "{name}::{vn} => ::serde::Value::Str(\"{vn}\".to_string()),\n"
-            )),
+            VariantKind::Unit => arms.push_str(&format!("{name}::{vn} => __s.str(\"{vn}\"),\n")),
             VariantKind::Newtype => arms.push_str(&format!(
-                "{name}::{vn}(__f0) => ::serde::Value::Object(vec![(\
-                     \"{vn}\".to_string(), ::serde::Serialize::serialize(__f0))]),\n"
+                "{name}::{vn}(__f0) => {{\n\
+                     __s.begin_object();\n\
+                     __s.field(\"{vn}\", __f0);\n\
+                     __s.end_object();\n\
+                 }},\n"
             )),
             VariantKind::Struct(fields) => {
-                let mut pushes = String::new();
+                let mut writes = String::new();
                 let mut bindings = String::new();
                 for f in fields {
                     bindings.push_str(&format!("{},", f.name));
-                    pushes.push_str(&format!(
-                        "__inner.push((\"{0}\".to_string(), \
-                             ::serde::Serialize::serialize({0})));\n",
-                        f.name
-                    ));
+                    writes.push_str(&format!("__s.field(\"{0}\", {0});\n", f.name));
                 }
                 arms.push_str(&format!(
                     "{name}::{vn} {{ {bindings} }} => {{\n\
-                         let mut __inner: ::std::vec::Vec<(::std::string::String, \
-                             ::serde::Value)> = ::std::vec::Vec::new();\n\
-                         {pushes}\
-                         ::serde::Value::Object(vec![(\"{vn}\".to_string(), \
-                             ::serde::Value::Object(__inner))])\n\
+                         __s.begin_object();\n\
+                         __s.key(\"{vn}\");\n\
+                         __s.begin_object();\n\
+                         {writes}\
+                         __s.end_object();\n\
+                         __s.end_object();\n\
                      }},\n"
                 ));
             }
@@ -360,7 +357,7 @@ fn gen_enum_serialize(name: &str, variants: &[Variant]) -> String {
     }
     format!(
         "impl ::serde::Serialize for {name} {{\n\
-            fn serialize(&self) -> ::serde::Value {{\n\
+            fn serialize(&self, __s: &mut ::serde::Serializer<'_>) {{\n\
                 match self {{ {arms} }}\n\
             }}\n\
         }}"

@@ -1,14 +1,16 @@
 //! Offline stand-in for `serde_json`.
 //!
-//! JSON text ⇄ the serde shim's [`Value`] tree. Covers the API surface
-//! this workspace uses: [`to_string`], [`to_string_pretty`], [`to_vec`],
-//! [`to_vec_pretty`], [`from_str`], [`from_slice`]. Numbers round-trip
-//! faithfully: integers stay integers, and floats are printed with
-//! Rust's shortest round-trip formatting.
+//! JSON text for the serde shim. Covers the API surface this workspace
+//! uses: [`to_string`], [`to_string_pretty`], [`to_vec`] and
+//! [`to_vec_pretty`] run a type's streaming [`Serialize`] impl through
+//! one [`Serializer`]; [`from_str`] and [`from_slice`] parse text into
+//! the [`Value`] tree and hand it to [`Deserialize`]. Numbers
+//! round-trip faithfully: integers stay integers, and floats are
+//! printed with Rust's shortest round-trip formatting.
 
 #![warn(missing_docs)]
 
-use serde::{DeError, Deserialize, Num, Serialize, Value};
+use serde::{DeError, Deserialize, Num, Serialize, Serializer, Value};
 use std::fmt;
 
 /// Serialization or parse error.
@@ -37,26 +39,38 @@ impl From<DeError> for Error {
 
 /// Serialize to compact JSON text.
 pub fn to_string<T: Serialize + ?Sized>(value: &T) -> Result<String, Error> {
-    let mut out = String::new();
-    write_value(&mut out, &value.serialize(), None, 0)?;
-    Ok(out)
+    to_vec(value).map(into_string)
 }
 
 /// Serialize to two-space-indented JSON text.
 pub fn to_string_pretty<T: Serialize + ?Sized>(value: &T) -> Result<String, Error> {
-    let mut out = String::new();
-    write_value(&mut out, &value.serialize(), Some(2), 0)?;
-    Ok(out)
+    to_vec_pretty(value).map(into_string)
 }
 
 /// Serialize to compact JSON bytes.
 pub fn to_vec<T: Serialize + ?Sized>(value: &T) -> Result<Vec<u8>, Error> {
-    to_string(value).map(String::into_bytes)
+    write(value, false)
 }
 
 /// Serialize to pretty JSON bytes.
 pub fn to_vec_pretty<T: Serialize + ?Sized>(value: &T) -> Result<Vec<u8>, Error> {
-    to_string_pretty(value).map(String::into_bytes)
+    write(value, true)
+}
+
+fn write<T: Serialize + ?Sized>(value: &T, pretty: bool) -> Result<Vec<u8>, Error> {
+    let mut out = Vec::new();
+    let mut s = if pretty {
+        Serializer::pretty(&mut out)
+    } else {
+        Serializer::new(&mut out)
+    };
+    value.serialize(&mut s);
+    s.finish().map_err(Error::new)?;
+    Ok(out)
+}
+
+fn into_string(bytes: Vec<u8>) -> String {
+    String::from_utf8(bytes).expect("the serializer writes UTF-8")
 }
 
 /// Deserialize from JSON text.
@@ -78,101 +92,6 @@ pub fn from_str<T: Deserialize>(text: &str) -> Result<T, Error> {
 pub fn from_slice<T: Deserialize>(bytes: &[u8]) -> Result<T, Error> {
     let text = std::str::from_utf8(bytes).map_err(|e| Error::new(e.to_string()))?;
     from_str(text)
-}
-
-// -------------------------------------------------------------- writing
-
-fn write_value(
-    out: &mut String,
-    v: &Value,
-    indent: Option<usize>,
-    depth: usize,
-) -> Result<(), Error> {
-    match v {
-        Value::Null => out.push_str("null"),
-        Value::Bool(true) => out.push_str("true"),
-        Value::Bool(false) => out.push_str("false"),
-        Value::Num(Num::U(x)) => out.push_str(&x.to_string()),
-        Value::Num(Num::I(x)) => out.push_str(&x.to_string()),
-        Value::Num(Num::F(x)) => {
-            if !x.is_finite() {
-                return Err(Error::new("cannot serialize non-finite float"));
-            }
-            // Rust's Display for f64 is shortest-round-trip; add `.0`
-            // to keep integral floats recognizable as floats.
-            let s = x.to_string();
-            out.push_str(&s);
-            if !s.contains(['.', 'e', 'E']) {
-                out.push_str(".0");
-            }
-        }
-        Value::Str(s) => write_string(out, s),
-        Value::Seq(items) => {
-            write_sequence(out, items.len(), indent, depth, '[', ']', |out, i, d| {
-                write_value(out, &items[i], indent, d)
-            })?
-        }
-        Value::Object(entries) => {
-            write_sequence(out, entries.len(), indent, depth, '{', '}', |out, i, d| {
-                let (k, val) = &entries[i];
-                write_string(out, k);
-                out.push(':');
-                if indent.is_some() {
-                    out.push(' ');
-                }
-                write_value(out, val, indent, d)
-            })?
-        }
-    }
-    Ok(())
-}
-
-fn write_sequence(
-    out: &mut String,
-    len: usize,
-    indent: Option<usize>,
-    depth: usize,
-    open: char,
-    close: char,
-    mut item: impl FnMut(&mut String, usize, usize) -> Result<(), Error>,
-) -> Result<(), Error> {
-    out.push(open);
-    if len == 0 {
-        out.push(close);
-        return Ok(());
-    }
-    for i in 0..len {
-        if i > 0 {
-            out.push(',');
-        }
-        if let Some(width) = indent {
-            out.push('\n');
-            out.push_str(&" ".repeat(width * (depth + 1)));
-        }
-        item(out, i, depth + 1)?;
-    }
-    if let Some(width) = indent {
-        out.push('\n');
-        out.push_str(&" ".repeat(width * depth));
-    }
-    out.push(close);
-    Ok(())
-}
-
-fn write_string(out: &mut String, s: &str) {
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out.push('"');
 }
 
 // -------------------------------------------------------------- parsing
@@ -403,25 +322,20 @@ mod tests {
             ),
             ("empty".into(), Value::Seq(vec![])),
         ]);
-        struct Raw(Value);
-        impl Serialize for Raw {
-            fn serialize(&self) -> Value {
-                self.0.clone()
-            }
+        for text in [to_string(&v).unwrap(), to_string_pretty(&v).unwrap()] {
+            let back: Value = from_str(&text).unwrap();
+            // Integral floats keep their `.0`, so 1500.0 reads back as
+            // a float rather than narrowing to an integer.
+            assert_eq!(back, v, "through {text}");
         }
-        impl Deserialize for Raw {
-            fn deserialize(v: &Value) -> Result<Raw, DeError> {
-                Ok(Raw(v.clone()))
-            }
-        }
-        for text in [
-            to_string(&Raw(v.clone())).unwrap(),
-            to_string_pretty(&Raw(v.clone())).unwrap(),
-        ] {
-            let back: Raw = from_str(&text).unwrap();
-            // Float-valued entries come back as the narrowest numeric
-            // type; normalize 1500.0 → matches because we append `.0`.
-            assert_eq!(back.0, v, "through {text}");
+    }
+
+    #[test]
+    fn non_finite_floats_do_not_serialize() {
+        for x in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
+            let err = to_string(&vec![1.0, x]).unwrap_err();
+            assert_eq!(err.to_string(), "cannot serialize non-finite float");
+            assert!(to_string_pretty(&x).is_err());
         }
     }
 
